@@ -31,6 +31,7 @@ from .pcp import (
     pcp_decode_output,
     pcp_det_closure,
     pcp_encode_input,
+    ptf_budget,
 )
 from .semithue import (
     DeterminismPolicy,
@@ -40,6 +41,7 @@ from .semithue import (
     det_closure,
     instance_from_text,
     instance_to_text,
+    staf_budget,
     trace_to_jsonl,
 )
 from .stcompile import (
@@ -120,39 +122,30 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+# per string relation: text parser, closure, step budget, text writer
+_STRING_BACKENDS = {
+    "semithue": (instance_from_text, det_closure, staf_budget,
+                 instance_to_text),
+    "pcp": (pairs_from_text, pcp_det_closure, ptf_budget, pairs_to_text),
+}
+
+
 def _cmd_eval(args) -> int:
     policy = _parse_semantics(args.semantics)
     text = Path(args.instance).read_text()
-    if args.backend == "semithue":
+    if args.backend in _STRING_BACKENDS:
+        parse, closure, budget, to_text = _STRING_BACKENDS[args.backend]
         try:
-            system, payload = instance_from_text(text)
+            system, payload = parse(text)
         except InstanceParseError as e:
             print(f"note: unparseable instance ({e}); identity")
             print(text, end="")
             return 0
-        out = det_closure(system, payload, st_budget(max(1, len(payload))),
-                          policy)
+        out = closure(system, payload, budget(max(1, len(payload))), policy)
         if out.terminal and len(out.result) == len(payload):
-            print(instance_to_text(system, out.result), end="")
+            print(to_text(system, out.result), end="")
         else:
-            print(instance_to_text(system, payload), end="")
-            print(f"note: {out.reason or 'wrong length'} at step {out.steps};"
-                  " identity", file=sys.stderr)
-        if args.trace:
-            Path(args.trace).write_text(trace_to_jsonl(out.trace))
-    elif args.backend == "pcp":
-        try:
-            pairs, payload = pairs_from_text(text)
-        except InstanceParseError as e:
-            print(f"note: unparseable instance ({e}); identity")
-            print(text, end="")
-            return 0
-        out = pcp_det_closure(pairs, payload, max(1, len(payload)) ** 4,
-                              policy)
-        if out.terminal and len(out.result) == len(payload):
-            print(pairs_to_text(pairs, out.result), end="")
-        else:
-            print(pairs_to_text(pairs, payload), end="")
+            print(to_text(system, payload), end="")
             print(f"note: {out.reason or 'wrong length'} at step {out.steps};"
                   " identity", file=sys.stderr)
         if args.trace:
@@ -195,7 +188,7 @@ def _verify_lemma(m: Machine, name: str, n_max: int):
                     and st_decode_output(comp, got.result) == want):
                 st_ok = False
             pw = pcp_encode_input(pcomp, x)
-            pgot = pcp_det_closure(pcomp.pairs, pw, len(pw) ** 4,
+            pgot = pcp_det_closure(pcomp.pairs, pw, ptf_budget(len(pw)),
                                    PAPER_POLICY, want_trace=False)
             if not (pgot.terminal
                     and pcp_decode_output(pcomp, pgot.result) == want):

@@ -1,36 +1,331 @@
-"""Engine backend selection: compiled extension if available, pure otherwise.
+"""The engine: rewrite/yield steps and deterministic closures.
 
-Set OWFLAB_PURE=1 to force the pure-Python backend (used by the tests to
-cross-check the two implementations, and by the benchmark).
+Status codes:
+  step kind:      0 unique, 1 stuck, 2 ambiguous, 3 branch overflow
+  closure status: 0 terminal, 1 ambiguous, 2 budget exceeded, 3 overflow
+
+Lookahead pruning differs between the two relations, because their wrong
+branches die differently.
+
+Rewrite systems (st_*): a candidate successor survives when the bounded
+search below it can still reach a *useful* stuck string, one whose length
+equals the closure's reference length (a closure only ever accepts such a
+terminal, so branches that provably cannot produce one are dead even when
+they can keep rewriting for a while).  A branch whose entire bounded
+search space is explored without finding one is pruned; running out of
+search budget counts as survival, never as death.  This matters for the
+compiled shuttling systems: a wrong block choice can keep consuming the
+tail of a code for a couple of dozen steps before sticking, so a pure
+"dies within d steps" horizon can neither kill it nor keep the live
+branch on small inputs.
+
+Pair lists (pcp_*): a wrong rotation choice sticks almost immediately, so
+the deepest-survivor rule suffices: measure each candidate's longest
+derivation, capped at depth+1, and keep the step only when one candidate
+strictly outlives the rest.
+
+Kernels call each other through module globals, so a tracer that rebinds
+them sees the inner calls too (the lookahead's match scans included).
 """
 
 from __future__ import annotations
 
-import os
+STEP_UNIQUE = 0
+STEP_STUCK = 1
+STEP_AMBIGUOUS = 2
+STEP_OVERFLOW = 3
 
-from . import _engine_py as pure
+CLOSE_TERMINAL = 0
+CLOSE_AMBIGUOUS = 1
+CLOSE_BUDGET = 2
+CLOSE_OVERFLOW = 3
 
-STEP_UNIQUE = pure.STEP_UNIQUE
-STEP_STUCK = pure.STEP_STUCK
-STEP_AMBIGUOUS = pure.STEP_AMBIGUOUS
-STEP_OVERFLOW = pure.STEP_OVERFLOW
-CLOSE_TERMINAL = pure.CLOSE_TERMINAL
-CLOSE_AMBIGUOUS = pure.CLOSE_AMBIGUOUS
-CLOSE_BUDGET = pure.CLOSE_BUDGET
-CLOSE_OVERFLOW = pure.CLOSE_OVERFLOW
+_CLOSE = {
+    STEP_STUCK: CLOSE_TERMINAL,
+    STEP_AMBIGUOUS: CLOSE_AMBIGUOUS,
+    STEP_OVERFLOW: CLOSE_OVERFLOW,
+}
 
-if os.environ.get("OWFLAB_PURE"):
-    active = pure
-else:
+
+class _Overflow(Exception):
+    pass
+
+
+def backend_name() -> str:
+    return "pure"
+
+
+def _close(step, w, budget, want_trace, work_limit):
+    """Iterate step while unique.  Returns (status, final, steps, trace).
+
+    step(w) returns a step tuple (kind, y, pos, index, count).  A revisited
+    string can never reach a terminal, so cycles short-circuit to the
+    budget-exceeded status.  work_limit (total characters rewritten,
+    0 = off) bounds runaway growth chains the same deterministic way.
+    """
+    trace = [] if want_trace else None
+    seen = {w}
+    steps = 0
+    work = 0
+    while True:
+        kind, y, p, i, _ = step(w)
+        if kind != STEP_UNIQUE:
+            return (_CLOSE[kind], w, steps, trace)
+        if steps >= budget:
+            return (CLOSE_BUDGET, w, steps, trace)
+        steps += 1
+        w = y
+        if want_trace:
+            trace.append((i, p, len(w)))
+        if w in seen:
+            return (CLOSE_BUDGET, w, steps, trace)
+        seen.add(w)
+        work += len(w)
+        if work_limit and work > work_limit:
+            return (CLOSE_BUDGET, w, steps, trace)
+
+
+# --- semi-Thue ------------------------------------------------------------
+
+def st_find_matches(lhs, w):
+    """All (position, rule index) pairs, sorted by (position, rule)."""
+    out = []
+    for i, g in enumerate(lhs):
+        start = 0
+        while True:
+            p = w.find(g, start)
+            if p < 0:
+                break
+            out.append((p, i))
+            start = p + 1
+    out.sort()
+    return out
+
+
+def _st_successors(lhs, rhs, w):
+    """Deduplicated successor strings with their first (pos, rule)."""
+    seen = set()
+    out = []
+    for p, i in st_find_matches(lhs, w):
+        y = w[:p] + rhs[i] + w[p + len(lhs[i]):]
+        if y not in seen:
+            seen.add(y)
+            out.append((y, p, i))
+    return out
+
+
+def _st_alive(lhs, rhs, s, ref_len, max_branch, node_budget, memo):
+    """Can s still reach a stuck string of length ref_len?
+
+    memo caches proven answers across the calls of one closure.  DFS with
+    a node budget; exhausting the budget returns True without caching.
+    """
+    got = memo.get(s)
+    if got is not None:
+        return got
+    stack = [s]
+    visited = {s}
+    parent = {s: None}
+    budget = node_budget
+    while stack:
+        w = stack.pop()
+        succ = _st_successors(lhs, rhs, w)
+        if len(succ) > max_branch:
+            raise _Overflow
+        if not succ:
+            if len(w) == ref_len:
+                node = w
+                while node is not None:
+                    memo[node] = True
+                    node = parent[node]
+                return True
+            continue
+        for y, _, _ in succ:
+            if y in visited:
+                continue
+            cached = memo.get(y)
+            if cached is False:
+                continue
+            if cached:
+                node = w
+                while node is not None:
+                    memo[node] = True
+                    node = parent[node]
+                return True
+            budget -= 1
+            if budget < 0:
+                return True  # unproven; do not cache
+            visited.add(y)
+            parent[y] = w
+            stack.append(y)
+    for w in visited:
+        memo[w] = False
+    return False
+
+
+def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None):
+    """One deterministic rewrite step.  mode: 0 strict, 1 lookahead."""
+    if mode == 0:
+        matches = st_find_matches(lhs, w)
+        if not matches:
+            return (STEP_STUCK, w, -1, -1, 0)
+        if len(matches) == 1:
+            p, i = matches[0]
+            y = w[:p] + rhs[i] + w[p + len(lhs[i]):]
+            return (STEP_UNIQUE, y, p, i, 1)
+        return (STEP_AMBIGUOUS, w, -1, -1, len(matches))
+    succ = _st_successors(lhs, rhs, w)
+    if not succ:
+        return (STEP_STUCK, w, -1, -1, 0)
+    if len(succ) == 1:
+        y, p, i = succ[0]
+        return (STEP_UNIQUE, y, p, i, 1)
+    if len(succ) > max_branch:
+        return (STEP_OVERFLOW, w, -1, -1, len(succ))
+    if ref_len < 0:
+        ref_len = len(w)
+    if memo is None:
+        memo = {}
+    node_budget = max_branch * (depth + 1)
+    survivors = []
     try:
-        from . import _speedups as active  # type: ignore[no-redef]
-    except ImportError:
-        active = pure
+        for k, (y, p, i) in enumerate(succ):
+            if _st_alive(lhs, rhs, y, ref_len, max_branch, node_budget, memo):
+                survivors.append(k)
+                if len(survivors) > 1:
+                    break
+    except _Overflow:
+        return (STEP_OVERFLOW, w, -1, -1, len(succ))
+    if len(survivors) == 1:
+        y, p, i = succ[survivors[0]]
+        return (STEP_UNIQUE, y, p, i, 1)
+    return (STEP_AMBIGUOUS, w, -1, -1, len(succ))
 
-backend_name = active.backend_name
-st_find_matches = active.st_find_matches
-st_step = active.st_step
-st_closure = active.st_closure
-pcp_applications = active.pcp_applications
-pcp_step = active.pcp_step
-pcp_closure = active.pcp_closure
+
+def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
+               want_trace=False, work_limit=0):
+    """Iterate st_step while unique; see _close.  Every step's lookahead
+    measures usefulness against the initial length and shares one memo."""
+    ref_len = len(w)
+    memo = {}
+    return _close(
+        lambda s: st_step(lhs, rhs, s, mode, depth, max_branch, ref_len,
+                          memo),
+        w, budget, want_trace, work_limit)
+
+
+# --- Post correspondence --------------------------------------------------
+
+def pcp_applications(us, vs, x):
+    """All (pair index, yielded string), one per applicable pair."""
+    out = []
+    for i in range(len(us)):
+        u = us[i]
+        v = vs[i]
+        if len(x) + len(v) >= len(u):
+            xv = x + v
+            if xv.startswith(u):
+                out.append((i, xv[len(u):]))
+    return out
+
+
+def _pcp_successors(us, vs, x):
+    apps = pcp_applications(us, vs, x)
+    seen = set()
+    out = []
+    for i, y in apps:
+        if y not in seen:
+            seen.add(y)
+            out.append((y, i))
+    return out, len(apps)
+
+
+def _pcp_expand(us, vs, x, budget):
+    """The successors of x, charged to budget = [nodes left, max branch]."""
+    succ, _ = _pcp_successors(us, vs, x)
+    if len(succ) > budget[1]:
+        raise _Overflow
+    budget[0] -= len(succ)
+    if budget[0] < 0:
+        raise _Overflow
+    return succ
+
+
+def _pcp_depth(us, vs, x, cap, budget):
+    """Longest derivation length from x, capped at `cap`.
+
+    Depth-first in successor order on an explicit stack, since cap comes
+    from the caller's lookahead depth; a node stops exploring as soon as
+    its best reaches its own cap.
+    """
+    if cap == 0:
+        return 0
+    # one frame per open node: [successors, next child, best so far];
+    # the node in frame k has cap - k levels left
+    stack = [[_pcp_expand(us, vs, x, budget), 0, 0]]
+    while True:
+        frame = stack[-1]
+        succ, k, best = frame
+        node_cap = cap - len(stack) + 1
+        if k == len(succ) or best >= node_cap:
+            stack.pop()
+            if not stack:
+                return best
+            parent = stack[-1]
+            if best + 1 > parent[2]:
+                parent[2] = best + 1
+            continue
+        frame[1] = k + 1
+        if node_cap == 1:
+            frame[2] = 1  # the child has no levels left: depth 0
+        else:
+            stack.append([_pcp_expand(us, vs, succ[k][0], budget), 0, 0])
+
+
+def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap=0):
+    """One deterministic yield step.  succ_cap bounds applicable pairs."""
+    succ, napps = _pcp_successors(us, vs, x)
+    if mode == 0:
+        if napps == 0:
+            return (STEP_STUCK, x, -1, -1, 0)
+        if napps == 1:
+            y, i = succ[0]
+            return (STEP_UNIQUE, y, -1, i, 1)
+        return (STEP_AMBIGUOUS, x, -1, -1, napps)
+    if not succ:
+        return (STEP_STUCK, x, -1, -1, 0)
+    if succ_cap and napps > succ_cap:
+        return (STEP_AMBIGUOUS, x, -1, -1, napps)
+    if len(succ) == 1:
+        y, i = succ[0]
+        return (STEP_UNIQUE, y, -1, i, 1)
+    if len(succ) > max_branch:
+        return (STEP_OVERFLOW, x, -1, -1, len(succ))
+    cap = depth + 1
+    budget = [max_branch * cap, max_branch]
+    best = -1
+    winner = -1
+    tie = False
+    try:
+        for k, (y, _) in enumerate(succ):
+            d = _pcp_depth(us, vs, y, cap, budget)
+            if d > best:
+                best = d
+                winner = k
+                tie = False
+            elif d == best:
+                tie = True
+    except _Overflow:
+        return (STEP_OVERFLOW, x, -1, -1, len(succ))
+    if tie or winner < 0:
+        return (STEP_AMBIGUOUS, x, -1, -1, len(succ))
+    y, i = succ[winner]
+    return (STEP_UNIQUE, y, -1, i, 1)
+
+
+def pcp_closure(us, vs, x, budget, mode, depth, max_branch, succ_cap=0,
+                want_trace=False, work_limit=0):
+    """Iterate pcp_step while unique; see _close."""
+    return _close(
+        lambda s: pcp_step(us, vs, s, mode, depth, max_branch, succ_cap),
+        x, budget, want_trace, work_limit)

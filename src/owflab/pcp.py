@@ -25,7 +25,7 @@ from .semithue import (
     DeterminismPolicy,
     InstanceParseError,
     RewriteSystem,
-    TraceStep,
+    closure_outcome,
     parse_instance,
     serialize_instance,
 )
@@ -60,13 +60,6 @@ class YieldStep:
     result: str
 
 
-_REASON = {
-    kernels.CLOSE_AMBIGUOUS: "Ambiguous",
-    kernels.CLOSE_BUDGET: "BudgetExceeded",
-    kernels.CLOSE_OVERFLOW: "BranchOverflow",
-}
-
-
 def yield_successors(g: PairList, x: str):
     """One YieldStep per applicable pair (duplicates across pairs kept)."""
     return [YieldStep(i, y)
@@ -79,17 +72,10 @@ def pcp_det_closure(g: PairList, x: str, budget: int,
                     work_limit: int = 0) -> ClosureOutcome:
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    status, final, steps, raw = kernels.pcp_closure(
+    return closure_outcome(*kernels.pcp_closure(
         g.us, g.vs, x, budget, policy.mode_id, policy.depth,
         policy.max_branch, policy.successor_cap, want_trace, work_limit
-    )
-    trace = tuple(
-        TraceStep(k + 1, i, p, n) for k, (i, p, n) in enumerate(raw or ())
-    )
-    if status == kernels.CLOSE_TERMINAL:
-        return ClosureOutcome(True, final, steps, trace=trace)
-    return ClosureOutcome(False, final, steps, reason=_REASON[status],
-                          trace=trace)
+    ))
 
 
 def verify_witness(g: PairList, x: str, indices) -> bool:

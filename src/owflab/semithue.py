@@ -144,10 +144,15 @@ def det_closure(sys: RewriteSystem, w: str, budget: int,
                 work_limit: int = 0) -> ClosureOutcome:
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    status, final, steps, raw = kernels.st_closure(
+    return closure_outcome(*kernels.st_closure(
         sys.lhs, sys.rhs, w, budget, policy.mode_id, policy.depth,
         policy.max_branch, want_trace, work_limit
-    )
+    ))
+
+
+def closure_outcome(status, final, steps, raw) -> ClosureOutcome:
+    """The ClosureOutcome of a kernel closure's (status, final, steps,
+    trace) tuple."""
     trace = tuple(
         TraceStep(k + 1, i, p, n) for k, (i, p, n) in enumerate(raw or ())
     )

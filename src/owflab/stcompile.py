@@ -29,7 +29,7 @@ from .coding import (
     encode,
 )
 from .machine import BLANK, LEFT, Machine, RIGHT, TAPE_SYMBOLS
-from .semithue import RewriteSystem
+from .semithue import RewriteSystem, staf_budget
 
 MARKER = "$"
 SHUTTLE_FWD = "s1"
@@ -140,7 +140,7 @@ def st_budget(n: int) -> int:
     """Step budget for an input string of length n."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    return n * n + 4 * n + 2
+    return staf_budget(n)
 
 
 def expected_schema_counts(m: Machine):

@@ -91,6 +91,38 @@ def test_eval_strict_identity_note(tmp_path, capsys):
     assert "Ambiguous" in err and "step 0" in err
 
 
+def test_eval_pcp(tmp_path, capsys):
+    from owflab.machine import library_machine
+    from owflab.pcp import (PAPER_POLICY, compile_pcp, pairs_to_text,
+                            pcp_det_closure, pcp_encode_input, ptf_budget)
+    comp = compile_pcp(library_machine("not"), 4)
+    w = pcp_encode_input(comp, "1010")
+    inst = tmp_path / "i.pcp"
+    inst.write_text(pairs_to_text(comp.pairs, w))
+    code, out, err = run_cli(capsys, "eval", "--backend", "pcp",
+                             "--instance", str(inst),
+                             "--semantics", "paper-pcp")
+    assert code == 0
+    got = pcp_det_closure(comp.pairs, w, ptf_budget(len(w)), PAPER_POLICY)
+    if got.terminal and len(got.result) == len(w):
+        assert out == pairs_to_text(comp.pairs, got.result) and not err
+    else:
+        assert out == pairs_to_text(comp.pairs, w)
+        reason = got.reason or "wrong length"
+        assert err == f"note: {reason} at step {got.steps}; identity\n"
+
+
+def test_eval_pcp_deep_lookahead_is_identity(tmp_path, capsys):
+    inst = tmp_path / "i.pcp"
+    text = "PCP v1\npairs: 3\n0 0\n0 1\n1 1\ninput: 0101\n"
+    inst.write_text(text)
+    code, out, err = run_cli(capsys, "eval", "--backend", "pcp",
+                             "--instance", str(inst),
+                             "--semantics", "lookahead:3000")
+    assert code == 0
+    assert out == text and "identity" in err
+
+
 def test_eval_unparseable_is_identity(tmp_path, capsys):
     inst = tmp_path / "junk.sts"
     inst.write_text("not a system\n")

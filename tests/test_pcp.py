@@ -18,7 +18,7 @@ from owflab.pcp import (
     verify_witness,
     yield_successors,
 )
-from owflab.semithue import InstanceParseError
+from owflab.semithue import DeterminismPolicy, InstanceParseError
 
 
 def test_yield_relation_examples():
@@ -60,6 +60,14 @@ def test_ptf_total_idempotent_small():
         y = ptf(w)
         assert len(y) == len(w)
         assert ptf(y) == y
+
+
+def test_ptf_total_at_deep_lookahead():
+    # every string here has a successor, so each depth search runs the
+    # full 3001 levels; a recursive search overflowed the Python stack
+    g = PairList((("0", "0"), ("0", "1"), ("1", "1")))
+    w = serialize_pcp_instance(g, "0101")
+    assert ptf(w, DeterminismPolicy("lookahead", depth=3000)) == w
 
 
 def test_ptf_budget():
