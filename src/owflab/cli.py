@@ -53,9 +53,8 @@ from .stcompile import (
 )
 from .coding import table_to_json
 from .tiling import (
-    AmbiguousRow,
     Completed,
-    Stalled,
+    TilingError,
     bottom_row,
     compile_tileset,
     extract_output,
@@ -153,7 +152,7 @@ def _cmd_eval(args) -> int:
     else:
         try:
             ts, row = tileset_from_text(text)
-        except Exception as e:
+        except TilingError as e:
             print(f"note: unparseable instance ({e}); identity")
             print(text, end="")
             return 0
@@ -386,10 +385,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (CliError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

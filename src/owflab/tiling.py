@@ -6,7 +6,8 @@ tileset simulates a machine bottom-up: row i+1 of the unique tiling is
 the configuration after step i, with the head cell represented by a
 (state, symbol) pair.  Rows advance only while exactly one row of tiles
 matches the previous row's north edges, so planted nondeterminism shows
-up as AmbiguousRow instead of a wrong answer.
+up as AmbiguousRow instead of a wrong answer.  Each row is solved exactly
+and iteratively by a dynamic program over columns in O(width·|tiles|).
 
 States are direction-split during compilation (p becomes p_R or p_L per
 the move direction of the instruction producing it).  Without the split,
@@ -52,6 +53,10 @@ class TileSet:
             for edge in (t.north, t.south, t.east, t.west):
                 if edge not in syms:
                     raise TilingError(f"edge symbol {edge!r} not in table")
+        by_south_west = {}
+        for t in self.tiles:
+            by_south_west.setdefault((t.south, t.west), []).append(t)
+        object.__setattr__(self, "_by_south_west", by_south_west)
 
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class Stalled:
 
 @dataclass(frozen=True)
 class AmbiguousRow:
-    row: int  # index of the row with >1 successor (or uncertifiable)
+    row: int  # index of the row with >1 successor
 
 
 # --- compiler -------------------------------------------------------------
@@ -126,60 +131,53 @@ def bottom_row(m: Machine, x: str):
 
 # --- evaluator ------------------------------------------------------------
 
-def next_rows(ts: TileSet, souths, cap: int, work_limit: int = 0):
-    """All tile rows (≤ cap+1 of them) whose south edges equal `souths`
-    and whose east/west edges agree between neighbors; outer edges free.
+def next_rows(ts: TileSet, souths):
+    """Count the tile rows whose south edges equal `souths` and whose
+    east/west edges agree between neighbors (outer edges free).
 
-    Left-to-right depth-first enumeration; work_limit bounds the number of
-    tile placements tried (0 = off) and raises TilingError when exceeded,
-    so uniqueness can fail loudly instead of silently on adversarial
-    instances.
+    Returns (count, row): count is 0, 1 or 2 (2 means two or more), and
+    row is the tile tuple when count == 1, else None.  The forward pass
+    maps each column's east-edge symbols to (number of row prefixes
+    ending there, saturated at 2; the last tile); column 0 starts from
+    every west edge, since the outer edges are free.  The backward pass
+    follows west edges from the single end state.  O(width·|tiles|).
     """
-    by_south = {}
-    for t in ts.tiles:
-        by_south.setdefault(t.south, []).append(t)
-    width = len(souths)
-    rows = []
-    row = []
-    work = [0]
-
-    def extend(j):
-        if len(rows) > cap:
-            return
-        if j == width:
-            rows.append(tuple(row))
-            return
-        for t in by_south.get(souths[j], ()):
-            if j > 0 and t.west != row[-1].east:
-                continue
-            work[0] += 1
-            if work_limit and work[0] > work_limit:
-                raise TilingError("row enumeration work limit exceeded")
-            row.append(t)
-            extend(j + 1)
-            row.pop()
-            if len(rows) > cap:
-                return
-
-    extend(0)
-    return rows
+    if not souths:
+        return 1, ()
+    index = ts._by_south_west
+    prev = dict.fromkeys({t.west for t in ts.tiles}, (1, None))
+    layers = []
+    for s in souths:
+        layer = {}
+        for w, (count, _) in prev.items():
+            for t in index.get((s, w), ()):
+                old = layer.get(t.east)
+                layer[t.east] = (min(2, old[0] + count) if old else count, t)
+        if not layer:
+            return 0, None
+        layers.append(layer)
+        prev = layer
+    ends = list(prev.values())
+    if len(ends) > 1 or ends[0][0] > 1:
+        return 2, None
+    row = [ends[0][1]]
+    for layer in reversed(layers[:-1]):
+        row.append(layer[row[-1].west][1])
+    return 1, tuple(reversed(row))
 
 
-def tile_closure(ts: TileSet, bottom, height: int, work_limit: int = 200_000):
+def tile_closure(ts: TileSet, bottom, height: int):
     """Advance row by row while the extension is unique."""
     if height < 1:
         raise TilingError("height must be >= 1")
     souths = list(bottom)
     for i in range(1, height):
-        try:
-            rows = next_rows(ts, souths, cap=2, work_limit=work_limit)
-        except TilingError:
-            return AmbiguousRow(i)
-        if not rows:
+        count, row = next_rows(ts, souths)
+        if count == 0:
             return Stalled(i)
-        if len(rows) > 1:
+        if count > 1:
             return AmbiguousRow(i)
-        souths = [t.north for t in rows[0]]
+        souths = [t.north for t in row]
     return Completed(tuple(souths))
 
 
@@ -257,14 +255,10 @@ def parse_tiling_instance(bits: str):
     row = [take_id() for _ in range(r_len)]
     if pos != len(bits):
         raise TilingError("trailing bits after instance")
-    try:
-        ts = TileSet(tuple(range(s_count)), tuple(tiles))
-    except TilingError:
-        raise
-    return ts, row
+    return TileSet(tuple(range(s_count)), tuple(tiles)), row
 
 
-def tiling_f(w: str, work_limit: int = 200_000) -> str:
+def tiling_f(w: str) -> str:
     """The tiling one-way function; total and length-preserving."""
     try:
         ts, row = parse_tiling_instance(w)
@@ -272,7 +266,7 @@ def tiling_f(w: str, work_limit: int = 200_000) -> str:
         return w
     if not row:
         return w
-    out = tile_closure(ts, row, height=len(row), work_limit=work_limit)
+    out = tile_closure(ts, row, height=len(row))
     if isinstance(out, Completed):
         return serialize_tiling_instance(ts, list(out.top))
     return w
@@ -306,20 +300,27 @@ def tileset_to_text(ts: TileSet, row) -> str:
 
 
 def tileset_from_text(text: str):
+    """Parse the TIL v1 format; any malformed text raises TilingError."""
     # no comment syntax here: "#" is the right-border symbol
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "TIL v1":
         raise TilingError("expected 'TIL v1' header")
-    if len(lines) < 2 or not lines[1].startswith("symbols:"):
-        raise TilingError("expected 'symbols: <k>' line")
-    k = int(lines[1].split(":", 1)[1])
+
+    def field(at, key):
+        if at >= len(lines) or not lines[at].startswith(key + ":"):
+            raise TilingError(f"expected '{key}:' line")
+        return lines[at][len(key) + 1 :]
+
+    def count(at, key):
+        value = field(at, key).strip()
+        if not value.isdecimal():
+            raise TilingError(f"bad count in '{key}:' line")
+        return int(value)
+
+    k = count(1, "symbols")
     symbols = tuple(_sym_parse(t) for t in lines[2 : 2 + k])
-    if len(symbols) != k:
-        raise TilingError("missing symbol lines")
     at = 2 + k
-    if at >= len(lines) or not lines[at].startswith("tiles:"):
-        raise TilingError("expected 'tiles: <m>' line")
-    m = int(lines[at].split(":", 1)[1])
+    m = count(at, "tiles")
     tiles = []
     for ln in lines[at + 1 : at + 1 + m]:
         parts = [_sym_parse(t) for t in ln.split()]
@@ -327,10 +328,5 @@ def tileset_from_text(text: str):
             raise TilingError(f"bad tile line: {ln!r}")
         n, e, s, w = parts
         tiles.append(Tile(n, s, e, w))
-    if len(tiles) != m:
-        raise TilingError("missing tile lines")
-    last = lines[at + 1 + m]
-    if not last.startswith("row:"):
-        raise TilingError("expected 'row:' line")
-    row = [_sym_parse(t) for t in last.split(":", 1)[1].split()]
+    row = [_sym_parse(t) for t in field(at + 1 + m, "row").split()]
     return TileSet(symbols, tuple(tiles)), row

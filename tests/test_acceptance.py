@@ -29,6 +29,7 @@ from owflab.pcp import (
     pcp_decode_output,
     pcp_det_closure,
     pcp_encode_input,
+    ptf_budget,
     yield_successors,
 )
 from owflab.sampler import (
@@ -165,7 +166,7 @@ def test_acceptance_4_pcp_lemma():
                 x = format(k, f"0{n}b")
                 ref = run(m, x, step_bound(n))
                 w = pcp_encode_input(comp, x)
-                out = pcp_det_closure(comp.pairs, w, len(w) ** 4,
+                out = pcp_det_closure(comp.pairs, w, ptf_budget(len(w)),
                                       PAPER_POLICY, want_trace=False)
                 total += 1
                 if not (out.terminal
@@ -274,7 +275,7 @@ def test_acceptance_7_determinism_regressions():
     pcomp = compile_pcp(m, 3)
     x = pcp_encode_input(pcomp, "101")
     b = False
-    for _ in range(len(x) ** 4):
+    for _ in range(ptf_budget(len(x))):
         succ = yield_successors(pcomp.pairs, x)
         if len(succ) == 2:
             dead = [s for s in succ

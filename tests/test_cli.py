@@ -131,6 +131,48 @@ def test_eval_unparseable_is_identity(tmp_path, capsys):
     assert code == 0 and "identity" in out and "not a system" in out
 
 
+def test_eval_tiling_wide_compiled_row(tmp_path, capsys):
+    # compiled not at n=32 has rows 1026 wide; the former recursive row
+    # search made this command fail with RecursionError
+    import random
+    from owflab.machine import library_machine, run, step_bound
+    from owflab.tiling import (bottom_row, compile_tileset, extract_output,
+                               tileset_from_text, tileset_to_text)
+    m = library_machine("not")
+    ts = compile_tileset(m)
+    x = format(random.Random(32).getrandbits(32), "032b")
+    inst = tmp_path / "i.til"
+    inst.write_text(tileset_to_text(ts, bottom_row(m, x)))
+    code, out, err = run_cli(capsys, "eval", "--backend", "tiling",
+                             "--instance", str(inst))
+    assert code == 0 and not err
+    _, top = tileset_from_text(out)
+    assert extract_output(top, 32) == run(m, x, step_bound(32)).output
+
+
+def test_eval_truncated_tiling_is_identity(tmp_path, capsys):
+    # no 'row:' line: the parser used to fail with IndexError, reported
+    # as "list index out of range"
+    inst = tmp_path / "cut.til"
+    text = "TIL v1\nsymbols: 1\na\ntiles: 1\na a a a\n"
+    inst.write_text(text)
+    code, out, err = run_cli(capsys, "eval", "--backend", "tiling",
+                             "--instance", str(inst))
+    assert code == 0 and not err
+    assert out == ("note: unparseable instance (expected 'row:' line); "
+                   "identity\n" + text)
+
+
+def test_eval_undecodable_instance_exits_2(tmp_path, capsys):
+    # not UTF-8: the command used to end in a UnicodeDecodeError traceback
+    inst = tmp_path / "bad.sts"
+    inst.write_bytes(b"STS v1\nrules: 1\n1 0\ninput: \xff\n")
+    code, out, err = run_cli(capsys, "eval", "--backend", "semithue",
+                             "--instance", str(inst))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "decode" in err
+
+
 def test_eval_bad_semantics(tmp_path, capsys):
     inst = tmp_path / "i.sts"
     inst.write_text("STS v1\nrules: 0\ninput: 1\n")

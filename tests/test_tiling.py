@@ -1,4 +1,9 @@
+import itertools
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from owflab.machine import Halted, library_machine, run, step_bound
 from owflab.tiling import (
@@ -29,6 +34,15 @@ def test_tileset_validation():
         TileSet(("a", "e"), (t, t))  # duplicate tile
 
 
+def brute_force_rows(ts, souths):
+    """(count saturated at 2, the row if unique) by trying every choice of
+    tiles with the right south edges and keeping the rows that chain."""
+    columns = [[t for t in ts.tiles if t.south == s] for s in souths]
+    rows = [row for row in itertools.product(*columns)
+            if all(a.east == b.west for a, b in zip(row, row[1:]))]
+    return min(2, len(rows)), (rows[0] if len(rows) == 1 else None)
+
+
 def test_next_rows_neighbor_constraint():
     # two tiles over south "a": east/west must chain
     ts = TileSet(
@@ -38,21 +52,27 @@ def test_next_rows_neighbor_constraint():
             Tile("b", "a", ".", "x"),
         ),
     )
-    rows = next_rows(ts, ["a", "a"], cap=5)
-    # both orders chain ("x|x" and ". .. ." with free outer edges);
-    # mismatched interiors are rejected
-    assert len(rows) == 2
-    for row in rows:
-        assert row[0].east == row[1].west
+    # both orders chain ("x|x" and ". .. ." with free outer edges)
+    assert next_rows(ts, ["a", "a"]) == (2, None)
+    # a third column over "c" only accepts west "x", so the row is unique
+    c = Tile("d", "c", ".", "x")
+    ts = TileSet(("a", "b", "c", "d", "x", "."), ts.tiles + (c,))
+    count, row = next_rows(ts, ["a", "a", "c"])
+    assert count == 1
+    assert row == (ts.tiles[1], ts.tiles[0], c)
+    assert all(a.east == b.west for a, b in zip(row, row[1:]))
 
 
-def test_next_rows_work_limit():
-    ts = TileSet(
-        ("a", "."),
-        (Tile("a", "a", ".", "."),),
-    )
-    with pytest.raises(TilingError):
-        next_rows(ts, ["a"] * 10, cap=2, work_limit=3)
+def test_next_rows_matches_brute_force():
+    rng = random.Random(0)
+    for _ in range(3000):
+        k = rng.randint(1, 4)
+        tiles = {Tile(*(rng.randrange(k) for _ in range(4)))
+                 for _ in range(rng.randint(1, 6))}
+        ts = TileSet(tuple(range(k)), tuple(tiles))
+        souths = [rng.randrange(k) for _ in range(rng.randint(0, 8))]
+        assert next_rows(ts, souths) == brute_force_rows(ts, souths), (
+            ts, souths)
 
 
 @pytest.mark.parametrize("name", ["id", "not", "rot-pair", "parity-mark"])
@@ -115,16 +135,22 @@ def test_bottom_row_shape():
         bottom_row(m, "12")
 
 
+def indexed(ts, row):
+    """The same tile set and row over symbol indices, the alphabet of the
+    bit-level instance format."""
+    index = {s: i for i, s in enumerate(ts.symbols)}
+    tiles = tuple(Tile(*(index[e] for e in (t.north, t.south, t.east,
+                                            t.west)))
+                  for t in ts.tiles)
+    return (TileSet(tuple(range(len(ts.symbols))), tiles),
+            [index[s] for s in row])
+
+
 def test_serialize_parse_round_trip():
     m = library_machine("id")
     ts = compile_tileset(m)
-    index = {s: i for i, s in enumerate(ts.symbols)}
-    row = [index[s] for s in bottom_row(m, "10")]
-    ts_ids = parse_tiling_instance(serialize_tiling_instance(
-        TileSet(tuple(range(len(ts.symbols))),
-                tuple(Tile(index[t.north], index[t.south], index[t.east],
-                           index[t.west]) for t in ts.tiles)), row))
-    ts2, row2 = ts_ids
+    its, row = indexed(ts, bottom_row(m, "10"))
+    ts2, row2 = parse_tiling_instance(serialize_tiling_instance(its, row))
     assert row2 == row
     assert len(ts2.tiles) == len(ts.tiles)
 
@@ -161,3 +187,72 @@ def test_text_format_round_trip():
     assert row2 == row
     assert set(ts2.tiles) == set(ts.tiles)
     assert set(ts2.symbols) == set(ts.symbols)
+
+
+def test_tiling_f_on_wide_compiled_row():
+    # compiled not at n=32 has rows 1026 wide; the former recursive row
+    # search raised RecursionError here
+    m = library_machine("not")
+    ts = compile_tileset(m)
+    x = format(random.Random(32).getrandbits(32), "032b")
+    its, row = indexed(ts, bottom_row(m, x))
+    w = serialize_tiling_instance(its, row)
+    y = tiling_f(w)
+    assert len(y) == len(w) and y != w
+    _, top = parse_tiling_instance(y)
+    assert (extract_output([ts.symbols[i] for i in top], 32)
+            == run(m, x, step_bound(32)).output)
+
+
+def test_tiling_f_completes_exponentially_branching_row():
+    # exponentially many row prefixes over south 0 survive until the last
+    # column, where only the all-Tile(1,0,0,0) prefix fits; the former
+    # depth-first search gave up after 200,000 placements and returned the
+    # input
+    ts = TileSet((0, 1, 2, 3), (
+        Tile(1, 0, 0, 0), Tile(1, 0, 1, 0), Tile(1, 0, 1, 1),
+        Tile(3, 0, 1, 1), Tile(3, 2, 0, 0), Tile(1, 1, 0, 0),
+        Tile(3, 3, 0, 0),
+    ))
+    w = serialize_tiling_instance(ts, [0] * 22 + [2])
+    assert tiling_f(w) == serialize_tiling_instance(ts, [1] * 22 + [3])
+
+
+@st.composite
+def wide_instances(draw):
+    k = draw(st.integers(1, 4))
+    symbol = st.integers(0, k - 1)
+    tiles = draw(st.lists(st.builds(Tile, symbol, symbol, symbol, symbol),
+                          min_size=1, max_size=6, unique=True))
+    rng = draw(st.randoms(use_true_random=False))
+    row = [rng.randrange(k) for _ in range(draw(st.integers(1, 3000)))]
+    return TileSet(tuple(range(k)), tuple(tiles)), row
+
+
+@settings(max_examples=10, deadline=None)
+@given(wide_instances())
+# one tile whose north matches no south: the first row is 3000 tiles wide,
+# the second stalls; the former recursive row search raised RecursionError
+@example((TileSet((0, 1), (Tile(1, 0, 0, 0),)), [0] * 3000))
+def test_tiling_f_total_on_wide_rows(instance):
+    w = serialize_tiling_instance(*instance)
+    assert len(tiling_f(w)) == len(w)
+
+
+def test_tileset_from_text_raises_tiling_error_on_malformed_text():
+    # a missing 'row:' line used to raise IndexError, a non-numeric count
+    # a bare ValueError
+    for text in [
+        "",
+        "TIL v1\n",
+        "TIL v1\nsymbols: x\n",
+        "TIL v1\nsymbols: -1\ntiles: 0\nrow:\n",
+        "TIL v1\nsymbols: 1\na\n",
+        "TIL v1\nsymbols: 1\na\ntiles: 1\n",
+        "TIL v1\nsymbols: 1\na\ntiles: 1\na a a a\n",
+        "TIL v1\nsymbols: 1\na\ntiles: one\na a a a\nrow: a\n",
+        "TIL v1\nsymbols: 1\na\ntiles: 1\na a a\nrow: a\n",
+        "TIL v1\nsymbols: 1\na\ntiles: 1\na a a b\nrow: a\n",
+    ]:
+        with pytest.raises(TilingError):
+            tileset_from_text(text)
