@@ -34,4 +34,4 @@ def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int] | None:
 
 
 def is_bits(s: str) -> bool:
-    return all(c in "01" for c in s)
+    return not s.strip("01")

@@ -79,7 +79,9 @@ def _load_machine(spec: str) -> Machine:
         raise CliError(f"bad machine file {spec}: {e}") from None
 
 
-def _parse_semantics(text: str) -> DeterminismPolicy:
+def _parse_semantics(text: str | None) -> DeterminismPolicy:
+    if text is None:
+        return LOOKAHEAD8
     if text == "strict":
         return STRICT
     if text == "paper-pcp":
@@ -130,6 +132,12 @@ _STRING_BACKENDS = {
 
 
 def _cmd_eval(args) -> int:
+    if args.backend == "tiling":
+        for flag, value in (("--trace", args.trace),
+                            ("--semantics", args.semantics)):
+            if value is not None:
+                raise CliError(f"{flag} is not supported by the tiling "
+                               "backend")
     policy = _parse_semantics(args.semantics)
     text = Path(args.instance).read_text()
     if args.backend in _STRING_BACKENDS:
@@ -342,8 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--backend", required=True,
                    choices=["semithue", "tiling", "pcp"])
     e.add_argument("--instance", required=True)
-    e.add_argument("--semantics", default="lookahead:8")
-    e.add_argument("--trace")
+    e.add_argument("--semantics",
+                   help="strict | lookahead:D | paper-pcp (default "
+                        "lookahead:8; string backends only)")
+    e.add_argument("--trace", help="trace JSONL file (string backends only)")
     e.set_defaults(fn=_cmd_eval)
 
     v = sub.add_parser("verify", help="run an invariant suite")

@@ -87,17 +87,83 @@ def _close(step, w, budget, want_trace, work_limit):
 
 # --- semi-Thue ------------------------------------------------------------
 
+# A group prefix shorter than this hits so often in a bit string that
+# checking every hit costs more than the scans it saves (measured on the
+# sampled systems, whose sides are a few characters long)
+_SHARED_MIN = 8
+
+
+class RuleIndex(tuple):
+    """The left-hand sides, grouped so that one scan serves several rules.
+
+    Rules are grouped by their first k characters, k the length of the
+    shortest side.  A group whose members share a prefix of at least
+    _SHARED_MIN characters is searched once for that prefix, and each hit
+    is checked against every member with startswith; the members of any
+    other group are searched side by side, identical sides sharing one
+    scan.  A member equal to its needle needs no check and is stored as
+    None; a needle with a single such member is a lone rule.
+    """
+
+    def __new__(cls, lhs):
+        self = super().__new__(cls, lhs)
+        k = min(map(len, self), default=0)
+        groups = {}
+        for i, g in enumerate(self):
+            groups.setdefault(g[:k], []).append(i)
+        needles = {}
+        for members in groups.values():
+            if len(members) > 1:
+                sides = [self[i] for i in members]
+                first, last = min(sides), max(sides)
+                n = k
+                while n < len(first) and first[n] == last[n]:
+                    n += 1
+                if n >= _SHARED_MIN:
+                    needles[first[:n]] = members
+                    continue
+            for i in members:
+                needles.setdefault(self[i], []).append(i)
+        # lists, not tuple(iterator): a tuple grown from an iterator is
+        # resized, and the interpreter's per-size tuple free lists then keep
+        # thousands of the resized tuples for the life of the process
+        self.lone = []  # (rule, index)
+        self.shared = []  # (needle, [(rule or None, index), ...])
+        for needle, members in needles.items():
+            if len(members) == 1:
+                self.lone.append((needle, members[0]))
+            else:
+                self.shared.append((needle, [
+                    (None if self[i] == needle else self[i], i)
+                    for i in members]))
+        return self
+
+
+def _indexed(lhs):
+    return lhs if type(lhs) is RuleIndex else RuleIndex(lhs)
+
+
 def st_find_matches(lhs, w):
-    """All (position, rule index) pairs, sorted by (position, rule)."""
+    """All (position, rule index) pairs, sorted by (position, rule).
+
+    lhs is a RuleIndex, or a sequence of left-hand sides indexed here.
+    """
+    lhs = _indexed(lhs)
     out = []
-    for i, g in enumerate(lhs):
-        start = 0
-        while True:
-            p = w.find(g, start)
-            if p < 0:
-                break
+    find = w.find
+    startswith = w.startswith
+    for g, i in lhs.lone:
+        p = find(g)
+        while p >= 0:
             out.append((p, i))
-            start = p + 1
+            p = find(g, p + 1)
+    for prefix, members in lhs.shared:
+        p = find(prefix)
+        while p >= 0:
+            for g, i in members:
+                if g is None or startswith(g, p):
+                    out.append((p, i))
+            p = find(prefix, p + 1)
     out.sort()
     return out
 
@@ -165,6 +231,7 @@ def _st_alive(lhs, rhs, s, ref_len, max_branch, node_budget, memo):
 
 def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None):
     """One deterministic rewrite step.  mode: 0 strict, 1 lookahead."""
+    lhs = _indexed(lhs)
     if mode == 0:
         matches = st_find_matches(lhs, w)
         if not matches:
@@ -204,8 +271,10 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None):
 
 def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
                want_trace=False, work_limit=0):
-    """Iterate st_step while unique; see _close.  Every step's lookahead
-    measures usefulness against the initial length and shares one memo."""
+    """Iterate st_step while unique; see _close.  The rule index is built
+    once here, and every step's lookahead measures usefulness against the
+    initial length and shares one memo."""
+    lhs = _indexed(lhs)
     ref_len = len(w)
     memo = {}
     return _close(
@@ -219,13 +288,16 @@ def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
 def pcp_applications(us, vs, x):
     """All (pair index, yielded string), one per applicable pair."""
     out = []
-    for i in range(len(us)):
-        u = us[i]
-        v = vs[i]
-        if len(x) + len(v) >= len(u):
-            xv = x + v
-            if xv.startswith(u):
-                out.append((i, xv[len(u):]))
+    n = len(x)
+    for i, u in enumerate(us):
+        if n >= len(u):
+            if x.startswith(u):
+                out.append((i, x[len(u):] + vs[i]))
+        elif u.startswith(x):
+            rest = u[n:]
+            v = vs[i]
+            if v.startswith(rest):
+                out.append((i, v[len(rest):]))
     return out
 
 

@@ -39,19 +39,14 @@ class PairList:
     pairs: tuple  # of (u, v) bit-string pairs, u nonempty
 
     def __post_init__(self):
-        for u, v in self.pairs:
-            if not u:
-                raise InstanceParseError("empty pair left string")
-            if not (is_bits(u) and is_bits(v)):
-                raise InstanceParseError("pair strings must be over {0,1}")
-
-    @property
-    def us(self):
-        return [u for u, _ in self.pairs]
-
-    @property
-    def vs(self):
-        return [v for _, v in self.pairs]
+        us = [u for u, _ in self.pairs]
+        vs = [v for _, v in self.pairs]
+        if "" in us:
+            raise InstanceParseError("empty pair left string")
+        if not is_bits("".join(us + vs)):
+            raise InstanceParseError("pair strings must be over {0,1}")
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "vs", vs)
 
 
 @dataclass(frozen=True)

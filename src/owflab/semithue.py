@@ -36,19 +36,14 @@ class RewriteSystem:
     rules: tuple  # of (lhs, rhs) bit-string pairs
 
     def __post_init__(self):
-        for g, h in self.rules:
-            if not g:
-                raise InstanceParseError("empty rule left-hand side")
-            if not (is_bits(g) and is_bits(h)):
-                raise InstanceParseError("rule strings must be over {0,1}")
-
-    @property
-    def lhs(self):
-        return [g for g, _ in self.rules]
-
-    @property
-    def rhs(self):
-        return [h for _, h in self.rules]
+        lhs = [g for g, _ in self.rules]
+        rhs = [h for _, h in self.rules]
+        if "" in lhs:
+            raise InstanceParseError("empty rule left-hand side")
+        if not is_bits("".join(lhs + rhs)):
+            raise InstanceParseError("rule strings must be over {0,1}")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,11 @@ def next_rows(ts: TileSet, souths):
 
 
 def tile_closure(ts: TileSet, bottom, height: int):
-    """Advance row by row while the extension is unique."""
+    """Advance row by row while the extension is unique.
+
+    A row equal to the one below it is a fixed point: the next row is a
+    function of the row alone, so every later row would be the same.
+    """
     if height < 1:
         raise TilingError("height must be >= 1")
     souths = list(bottom)
@@ -177,7 +181,10 @@ def tile_closure(ts: TileSet, bottom, height: int):
             return Stalled(i)
         if count > 1:
             return AmbiguousRow(i)
-        souths = [t.north for t in row]
+        norths = [t.north for t in row]
+        if norths == souths:
+            break
+        souths = norths
     return Completed(tuple(souths))
 
 

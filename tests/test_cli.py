@@ -163,6 +163,22 @@ def test_eval_truncated_tiling_is_identity(tmp_path, capsys):
                    "identity\n" + text)
 
 
+@pytest.mark.parametrize("flag, value", [("--trace", "{dir}/t.jsonl"),
+                                         ("--semantics", "strict")],
+                         ids=["trace", "semantics"])
+def test_eval_tiling_rejects_string_backend_flags(tmp_path, capsys, flag,
+                                                  value):
+    # tiling has no trace and no policy; both flags used to be ignored
+    inst = tmp_path / "t.til"
+    inst.write_text("TIL v1\nsymbols: 1\na\ntiles: 1\na a a a\nrow: a a\n")
+    code, out, err = run_cli(capsys, "eval", "--backend", "tiling",
+                             "--instance", str(inst), flag,
+                             value.format(dir=tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and flag in err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_eval_undecodable_instance_exits_2(tmp_path, capsys):
     # not UTF-8: the command used to end in a UnicodeDecodeError traceback
     inst = tmp_path / "bad.sts"

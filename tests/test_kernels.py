@@ -11,6 +11,9 @@ to the matcher or the closure loop that alters any of them fails here.
 import hashlib
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from owflab import kernels
 
 # sha256 of _engine_outputs(), recorded from the engine as it was before
@@ -83,6 +86,62 @@ def test_st_find_matches_is_a_sliding_window_scan():
         lhs, _ = random_system(rng)
         w = bits(rng, 0, 12)
         assert kernels.st_find_matches(lhs, w) == naive_find_matches(lhs, w)
+
+
+def bit_text(lo, hi):
+    return st.text("01", min_size=lo, max_size=hi)
+
+
+@st.composite
+def systems_and_strings(draw):
+    """Left-hand sides that share prefixes (short ones and ones long
+    enough to be searched as a group), contain one another as prefixes and
+    repeat, as compiled systems do; and a string built from pieces of
+    them, so that the sides occur in it."""
+    stem = draw(bit_text(0, 12))
+    sides = draw(st.lists(
+        st.one_of(bit_text(1, 6),
+                  bit_text(0, 4).map(lambda t: stem + t).filter(bool)),
+        min_size=1, max_size=8))
+    if draw(st.booleans()):  # a prefix of a drawn side
+        g = draw(st.sampled_from(sides))
+        sides.append(g[:draw(st.integers(1, len(g)))])
+    if draw(st.booleans()):  # a duplicate
+        sides.append(draw(st.sampled_from(sides)))
+    sides = draw(st.permutations(sides))
+    pieces = st.one_of(st.sampled_from(sides), bit_text(1, 3))
+    w = "".join(draw(st.lists(pieces, max_size=6)))
+    return sides, w
+
+
+@settings(max_examples=500, deadline=None)
+@given(systems_and_strings())
+@example((["0110", "0111", "010", "1"], "0110111"))  # short shared prefixes
+@example((["0110101101", "01101011", "0110101110"],
+          "011010110101101011100110101101"))  # one group, prefix 8
+@example((["0", "01", "011"], "0110"))  # prefix chain, 1-character side
+@example((["101", "101", "1010101011", "1010101011"],
+          "10101010110101010110"))  # duplicate rules
+@example((["11"], "1111"))  # a single rule
+@example((["10101010", "1010"], "101"))  # sides longer than w
+def test_st_find_matches_equals_sliding_window(system):
+    sides, w = system
+    want = naive_find_matches(sides, w)
+    assert kernels.st_find_matches(sides, w) == want
+    assert kernels.st_find_matches(kernels.RuleIndex(sides), w) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(bit_text(1, 5), bit_text(0, 5)), min_size=1,
+                max_size=6),
+       bit_text(0, 8))
+@example([("0110", "10"), ("01", "10")], "01")  # len(x) < len(u)
+@example([("011", "1"), ("0", "")], "01")  # u = x·v, y empty
+def test_pcp_applications_equal_the_yield_equation(pairs, x):
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    assert kernels.pcp_applications(us, vs, x) == \
+        naive_applications(us, vs, x)
 
 
 def test_strict_st_step_matches_reference():

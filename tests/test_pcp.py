@@ -152,7 +152,8 @@ def test_text_format_round_trip():
 
 
 def test_pairlist_validation():
-    with pytest.raises(InstanceParseError):
-        PairList((("", "1"),))
-    with pytest.raises(InstanceParseError):
-        PairList((("2", "1"),))
+    for pairs in [(("", "1"),), (("2", "1"),), (("1", "2"),),
+                  (("1 ", "0"),), (("1", "0\n"),),
+                  (("1", "0"), ("01", "x"))]:
+        with pytest.raises(InstanceParseError):
+            PairList(pairs)

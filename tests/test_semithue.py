@@ -169,8 +169,15 @@ def test_policy_validation():
         DeterminismPolicy(mode="lookahead", depth=0)
 
 
+def test_rule_sides_are_built_once():
+    sys = RewriteSystem((("1", "0"), ("01", "")))
+    assert sys.lhs == ["1", "01"] and sys.rhs == ["0", ""]
+    assert sys.lhs is sys.lhs
+
+
 def test_rule_validation():
-    with pytest.raises(InstanceParseError):
-        RewriteSystem((("", "1"),))
-    with pytest.raises(InstanceParseError):
-        RewriteSystem((("2", "1"),))
+    for rules in [(("", "1"),), (("2", "1"),), (("1", "2"),),
+                  (("1 ", "0"),), (("1", "0\n"),),
+                  (("1", "0"), ("01", "x"))]:
+        with pytest.raises(InstanceParseError):
+            RewriteSystem(rules)

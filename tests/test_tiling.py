@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from owflab import tiling
 from owflab.machine import Halted, library_machine, run, step_bound
 from owflab.tiling import (
     AmbiguousRow,
@@ -177,6 +178,29 @@ def test_tiling_f_progress_on_crafted_instance():
     w = serialize_tiling_instance(ts, [0, 0, 0])
     y = tiling_f(w)
     assert y == w  # completed and top row equals the bottom row
+
+
+def test_tile_closure_stops_at_a_fixed_point(monkeypatch):
+    # compiled not halts long before the square's last row; every row
+    # after the halt copies the one below it
+    m = library_machine("not")
+    ts = compile_tileset(m)
+    row = bottom_row(m, "1011")
+    height = len(row)
+    souths = list(row)
+    for _ in range(1, height):  # every row solved, as before the stop
+        count, solved = next_rows(ts, souths)
+        assert count == 1
+        souths = [t.north for t in solved]
+    calls = []
+
+    def counted(ts, souths):
+        calls.append(len(souths))
+        return next_rows(ts, souths)
+
+    monkeypatch.setattr(tiling, "next_rows", counted)
+    assert tile_closure(ts, row, height) == Completed(tuple(souths))
+    assert len(calls) < height - 1
 
 
 def test_text_format_round_trip():
