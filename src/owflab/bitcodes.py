@@ -18,7 +18,8 @@ def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int] | None:
     """Decode one gamma code starting at `pos`.
 
     Returns (value, next_pos), or None if `bits` does not hold a complete
-    code at that offset.
+    code over {0,1} at that offset (int(·, 2) alone would also accept
+    "_", a sign or surrounding spaces).
     """
     i = pos
     n = len(bits)
@@ -30,7 +31,10 @@ def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int] | None:
     end = i + width + 1
     if end > n:
         return None
-    return int(bits[i:end], 2), end
+    code = bits[i:end]
+    if code.strip("01"):
+        return None
+    return int(code, 2), end
 
 
 def is_bits(s: str) -> bool:

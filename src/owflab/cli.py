@@ -79,9 +79,7 @@ def _load_machine(spec: str) -> Machine:
         raise CliError(f"bad machine file {spec}: {e}") from None
 
 
-def _parse_semantics(text: str | None) -> DeterminismPolicy:
-    if text is None:
-        return LOOKAHEAD8
+def _parse_semantics(text: str) -> DeterminismPolicy:
     if text == "strict":
         return STRICT
     if text == "paper-pcp":
@@ -123,11 +121,13 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-# per string relation: text parser, closure, step budget, text writer
+# per string relation: text parser, closure, step budget, text writer,
+# and the default policy of its one-way function (staf, ptf)
 _STRING_BACKENDS = {
     "semithue": (instance_from_text, det_closure, staf_budget,
-                 instance_to_text),
-    "pcp": (pairs_from_text, pcp_det_closure, ptf_budget, pairs_to_text),
+                 instance_to_text, LOOKAHEAD8),
+    "pcp": (pairs_from_text, pcp_det_closure, ptf_budget, pairs_to_text,
+            PAPER_POLICY),
 }
 
 
@@ -138,17 +138,20 @@ def _cmd_eval(args) -> int:
             if value is not None:
                 raise CliError(f"{flag} is not supported by the tiling "
                                "backend")
-    policy = _parse_semantics(args.semantics)
+    else:
+        parse, closure, budget, to_text, policy = _STRING_BACKENDS[
+            args.backend]
+        if args.semantics is not None:
+            policy = _parse_semantics(args.semantics)
     text = Path(args.instance).read_text()
-    if args.backend in _STRING_BACKENDS:
-        parse, closure, budget, to_text = _STRING_BACKENDS[args.backend]
+    if args.backend != "tiling":
         try:
             system, payload = parse(text)
         except InstanceParseError as e:
             print(f"note: unparseable instance ({e}); identity")
             print(text, end="")
             return 0
-        out = closure(system, payload, budget(max(1, len(payload))), policy)
+        out = closure(system, payload, budget(len(payload)), policy)
         if out.terminal and len(out.result) == len(payload):
             print(to_text(system, out.result), end="")
         else:
@@ -351,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["semithue", "tiling", "pcp"])
     e.add_argument("--instance", required=True)
     e.add_argument("--semantics",
-                   help="strict | lookahead:D | paper-pcp (default "
-                        "lookahead:8; string backends only)")
+                   help="strict | lookahead:D | paper-pcp (default: the "
+                        "policy of staf or ptf, lookahead:8 for semithue, "
+                        "paper-pcp for pcp; string backends only)")
     e.add_argument("--trace", help="trace JSONL file (string backends only)")
     e.set_defaults(fn=_cmd_eval)
 

@@ -88,10 +88,6 @@ class Crashed:
     reason: str
 
 
-def initial_configuration(x: str) -> Configuration:
-    return Configuration(tape=tuple(x), head=0, state=None, steps=0)
-
-
 def step(m: Machine, c: Configuration):
     """Apply one transition.  Returns a Configuration or Crashed."""
     if c.state == m.halt:

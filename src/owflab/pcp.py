@@ -23,11 +23,13 @@ from .semithue import (
     ClosureOutcome,
     DEFAULT_WORK_LIMIT,
     DeterminismPolicy,
-    InstanceParseError,
     RewriteSystem,
     closure_outcome,
+    from_text,
+    one_way,
     parse_instance,
     serialize_instance,
+    to_text,
 )
 from .stcompile import CompileError, NOT_FINAL
 
@@ -35,18 +37,16 @@ PAPER_POLICY = DeterminismPolicy(mode="lookahead", depth=1, successor_cap=2)
 
 
 @dataclass(frozen=True)
-class PairList:
-    pairs: tuple  # of (u, v) bit-string pairs, u nonempty
+class PairList(RewriteSystem):
+    """A rewrite-system instance read as pairs (uᵢ, vᵢ): the same rules,
+    bit format and text layout, only the names differ."""
 
-    def __post_init__(self):
-        us = [u for u, _ in self.pairs]
-        vs = [v for _, v in self.pairs]
-        if "" in us:
-            raise InstanceParseError("empty pair left string")
-        if not is_bits("".join(us + vs)):
-            raise InstanceParseError("pair strings must be over {0,1}")
-        object.__setattr__(self, "us", us)
-        object.__setattr__(self, "vs", vs)
+    _EMPTY_LHS = "empty pair left string"
+    _NOT_BITS = "pair strings must be over {0,1}"
+
+    pairs = property(lambda self: self.rules)
+    us = property(lambda self: self.lhs)
+    vs = property(lambda self: self.rhs)
 
 
 @dataclass(frozen=True)
@@ -55,30 +55,30 @@ class YieldStep:
     result: str
 
 
-def yield_successors(g: PairList, x: str):
+def yield_successors(g: RewriteSystem, x: str):
     """One YieldStep per applicable pair (duplicates across pairs kept)."""
     return [YieldStep(i, y)
-            for i, y in kernels.pcp_applications(g.us, g.vs, x)]
+            for i, y in kernels.pcp_applications(g.lhs, g.rhs, x)]
 
 
-def pcp_det_closure(g: PairList, x: str, budget: int,
+def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
                     policy: DeterminismPolicy = PAPER_POLICY,
                     want_trace: bool = True,
-                    work_limit: int = 0) -> ClosureOutcome:
+                    work_limit: int = DEFAULT_WORK_LIMIT) -> ClosureOutcome:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     return closure_outcome(*kernels.pcp_closure(
-        g.us, g.vs, x, budget, policy.mode_id, policy.depth,
+        g.lhs, g.rhs, x, budget, policy.mode_id, policy.depth,
         policy.max_branch, policy.successor_cap, want_trace, work_limit
     ))
 
 
-def verify_witness(g: PairList, x: str, indices) -> bool:
+def verify_witness(g: RewriteSystem, x: str, indices) -> bool:
     """Replay an index sequence as yield steps from x."""
     for i in indices:
-        if not 0 <= i < len(g.pairs):
+        if not 0 <= i < len(g.rules):
             return False
-        u, v = g.pairs[i]
+        u, v = g.rules[i]
         xv = x + v
         if len(xv) < len(u) or not xv.startswith(u):
             return False
@@ -92,23 +92,12 @@ def ptf_budget(n: int) -> int:
     return n ** 4
 
 
-def ptf(w: str, policy: DeterminismPolicy = PAPER_POLICY,
-        work_limit: int = DEFAULT_WORK_LIMIT) -> str:
+def ptf(w: str, policy: DeterminismPolicy = PAPER_POLICY) -> str:
     """The bounded-PCP one-way function; total and length-preserving."""
-    try:
-        sys, x = parse_instance(w)
-        g = PairList(sys.rules)
-    except InstanceParseError:
-        return w
-    out = pcp_det_closure(g, x, ptf_budget(len(x)), policy,
-                          want_trace=False, work_limit=work_limit)
-    if out.terminal and len(out.result) == len(x):
-        return serialize_instance(RewriteSystem(g.pairs), out.result)
-    return w
+    return one_way(w, pcp_det_closure, ptf_budget, policy)
 
 
-def serialize_pcp_instance(g: PairList, payload: str) -> str:
-    return serialize_instance(RewriteSystem(g.pairs), payload)
+serialize_pcp_instance = serialize_instance
 
 
 def parse_pcp_instance(bits: str):
@@ -196,37 +185,9 @@ def pcp_decode_output(comp: PcpCompilation, w: str):
 
 # --- text format ----------------------------------------------------------
 
-def pairs_to_text(g: PairList, payload: str) -> str:
-    # "-" stands for the empty string (pair strings are over {0,1})
-    lines = ["PCP v1", f"pairs: {len(g.pairs)}"]
-    lines += [f"{u} {v or '-'}" for u, v in g.pairs]
-    lines.append(f"input: {payload}")
-    return "\n".join(lines) + "\n"
+def pairs_to_text(g: RewriteSystem, payload: str) -> str:
+    return to_text("PCP v1", "pair", g, payload)
 
 
 def pairs_from_text(text: str):
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "PCP v1":
-        raise InstanceParseError("expected 'PCP v1' header")
-    if len(lines) < 2 or not lines[1].startswith("pairs:"):
-        raise InstanceParseError("expected 'pairs: <m>' line")
-    try:
-        m = int(lines[1].split(":", 1)[1])
-    except ValueError:
-        raise InstanceParseError("bad pair count") from None
-    if len(lines) != m + 3:
-        raise InstanceParseError(f"expected {m} pair lines plus input")
-    pairs = []
-    for ln in lines[2 : 2 + m]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InstanceParseError(f"bad pair line: {ln!r}")
-        pairs.append((parts[0], "" if parts[1] == "-" else parts[1]))
-    last = lines[2 + m]
-    if not last.startswith("input:"):
-        raise InstanceParseError("expected 'input:' line")
-    payload = last.split(":", 1)[1].strip()
-    if not is_bits(payload):
-        raise InstanceParseError("payload must be a bit string")
-    return PairList(tuple(pairs)), payload
+    return from_text("PCP v1", "pair", PairList, text)

@@ -95,8 +95,9 @@ def sample_string(d: DefaultUniform, rng: random.Random) -> str:
     return format(rng.getrandbits(ell), f"0{ell}b")
 
 
-def sample_sts_instance(d: DefaultUniform, rng: random.Random) -> StsSample:
-    """Random bound n, rule count m, rules, payload and target string."""
+def _draw(d: DefaultUniform, rng: random.Random, cls):
+    """Random bound n, rule count m, rules, payload and target string, in
+    the field order of StsSample and PcpSample."""
     n = sample_int(d, rng)
     m = sample_int(d, rng)
     rules = tuple(
@@ -104,18 +105,15 @@ def sample_sts_instance(d: DefaultUniform, rng: random.Random) -> StsSample:
     )
     payload = sample_string(d, rng)
     target = sample_string(d, rng)
-    return StsSample(RewriteSystem(rules), payload, n, target)
+    return cls(rules), payload, n, target
+
+
+def sample_sts_instance(d: DefaultUniform, rng: random.Random) -> StsSample:
+    return StsSample(*_draw(d, rng, RewriteSystem))
 
 
 def sample_pcp_instance(d: DefaultUniform, rng: random.Random) -> PcpSample:
-    n = sample_int(d, rng)
-    m = sample_int(d, rng)
-    pairs = tuple(
-        (sample_string(d, rng), sample_string(d, rng)) for _ in range(m)
-    )
-    payload = sample_string(d, rng)
-    target = sample_string(d, rng)
-    return PcpSample(PairList(pairs), payload, n, target)
+    return PcpSample(*_draw(d, rng, PairList))
 
 
 def instance_size(sample) -> int:

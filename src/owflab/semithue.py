@@ -1,5 +1,6 @@
-"""Semi-Thue rewriting over {0,1}: deterministic closures and the STAF
-one-way function.
+"""Semi-Thue rewriting over {0,1}: deterministic closures, the STAF
+one-way function, and the string-pair instance format that STAF and PTF
+share (bits and text).
 
 Determinism comes in two flavours.  Strict keeps a step only when exactly
 one (rule, position) pair applies; two positions of the same rule already
@@ -22,8 +23,9 @@ from .bitcodes import gamma_decode, gamma_encode, is_bits
 DEFAULT_LOOKAHEAD = 8
 DEFAULT_MAX_BRANCH = 64
 # Deterministic guard against unbounded growth chains in random instances:
-# a closure gives up (as budget-exceeded) after rewriting this many
-# characters in total.  Compiled systems stay far below it.
+# by default (det_closure, pcp_det_closure) a closure gives up, as
+# budget-exceeded, after rewriting this many characters in total.
+# Compiled systems stay far below it.
 DEFAULT_WORK_LIMIT = 20_000_000
 
 
@@ -35,13 +37,16 @@ class InstanceParseError(ValueError):
 class RewriteSystem:
     rules: tuple  # of (lhs, rhs) bit-string pairs
 
+    _EMPTY_LHS = "empty rule left-hand side"
+    _NOT_BITS = "rule strings must be over {0,1}"
+
     def __post_init__(self):
         lhs = [g for g, _ in self.rules]
         rhs = [h for _, h in self.rules]
         if "" in lhs:
-            raise InstanceParseError("empty rule left-hand side")
+            raise InstanceParseError(self._EMPTY_LHS)
         if not is_bits("".join(lhs + rhs)):
-            raise InstanceParseError("rule strings must be over {0,1}")
+            raise InstanceParseError(self._NOT_BITS)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
 
@@ -136,7 +141,7 @@ def det_step(sys: RewriteSystem, w: str, policy: DeterminismPolicy) -> StepOutco
 
 def det_closure(sys: RewriteSystem, w: str, budget: int,
                 policy: DeterminismPolicy, want_trace: bool = True,
-                work_limit: int = 0) -> ClosureOutcome:
+                work_limit: int = DEFAULT_WORK_LIMIT) -> ClosureOutcome:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     return closure_outcome(*kernels.st_closure(
@@ -169,75 +174,93 @@ def serialize_instance(sys: RewriteSystem, payload: str) -> str:
 
 
 def parse_instance(bits: str):
-    """Inverse of serialize_instance; returns (system, payload) or raises."""
-    if not is_bits(bits):
-        raise InstanceParseError("instance must be a bit string")
+    """Inverse of serialize_instance; returns (system, payload) or raises.
+
+    Each character is checked once: gamma_decode rejects a non-bit code,
+    RewriteSystem the rule strings, and the payload is checked here.
+    """
     got = gamma_decode(bits, 0)
     if got is None:
-        raise InstanceParseError("truncated rule count")
+        raise InstanceParseError("truncated or non-bit rule count")
     m, pos = got
     m -= 1
     rules = []
     for k in range(2 * m):
         got = gamma_decode(bits, pos)
         if got is None:
-            raise InstanceParseError(f"truncated length of rule string {k}")
+            raise InstanceParseError(
+                f"truncated or non-bit length of rule string {k}")
         ln, pos = got
         ln -= 1
         if pos + ln > len(bits):
             raise InstanceParseError(f"truncated rule string {k}")
         rules.append(bits[pos : pos + ln])
         pos += ln
-    pairs = tuple(zip(rules[0::2], rules[1::2]))
-    return RewriteSystem(pairs), bits[pos:]
+    payload = bits[pos:]
+    if not is_bits(payload):
+        raise InstanceParseError("payload must be a bit string")
+    return RewriteSystem(tuple(zip(rules[0::2], rules[1::2]))), payload
+
+
+def one_way(w: str, closure, budget, policy: DeterminismPolicy) -> str:
+    """The body of staf and ptf: parse w, close its payload x under
+    `closure` within budget(|x|) steps, and serialize the result if it is
+    terminal and as long as x; otherwise w.
+
+    staf and ptf look `closure` and `budget` up in their module on every
+    call, so a rebinding of those module attributes (owfbench's layer
+    tracer) sees the call."""
+    try:
+        sys, x = parse_instance(w)
+    except InstanceParseError:
+        return w
+    out = closure(sys, x, budget(len(x)), policy, want_trace=False)
+    if out.terminal and len(out.result) == len(x):
+        return serialize_instance(sys, out.result)
+    return w
 
 
 def staf_budget(n: int) -> int:
     return n * n + 4 * n + 2
 
 
-def staf(w: str, policy: DeterminismPolicy = LOOKAHEAD8,
-         work_limit: int = DEFAULT_WORK_LIMIT) -> str:
+def staf(w: str, policy: DeterminismPolicy = LOOKAHEAD8) -> str:
     """The semi-Thue accessibility function; total and length-preserving."""
-    try:
-        sys, x = parse_instance(w)
-    except InstanceParseError:
-        return w
-    out = det_closure(sys, x, staf_budget(len(x)), policy,
-                      want_trace=False, work_limit=work_limit)
-    if out.terminal and len(out.result) == len(x):
-        return serialize_instance(sys, out.result)
-    return w
+    return one_way(w, det_closure, staf_budget, policy)
 
 
 # --- text format and traces ----------------------------------------------
 
-def instance_to_text(sys: RewriteSystem, payload: str) -> str:
+def to_text(header: str, noun: str, sys: RewriteSystem,
+            payload: str) -> str:
+    """The text layout shared by STS v1 and PCP v1: header, count line,
+    one line per rule or pair, input line."""
     # "-" stands for the empty string (rule strings are over {0,1})
-    lines = ["STS v1", f"rules: {len(sys.rules)}"]
+    lines = [header, f"{noun}s: {len(sys.rules)}"]
     lines += [f"{g} {h or '-'}" for g, h in sys.rules]
     lines.append(f"input: {payload}")
     return "\n".join(lines) + "\n"
 
 
-def instance_from_text(text: str):
+def from_text(header: str, noun: str, cls, text: str):
+    """Inverse of to_text; returns (cls(rules), payload) or raises."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "STS v1":
-        raise InstanceParseError("expected 'STS v1' header")
-    if len(lines) < 2 or not lines[1].startswith("rules:"):
-        raise InstanceParseError("expected 'rules: <m>' line")
+    if not lines or lines[0] != header:
+        raise InstanceParseError(f"expected {header!r} header")
+    if len(lines) < 2 or not lines[1].startswith(f"{noun}s:"):
+        raise InstanceParseError(f"expected '{noun}s: <m>' line")
     try:
         m = int(lines[1].split(":", 1)[1])
     except ValueError:
-        raise InstanceParseError("bad rule count") from None
+        raise InstanceParseError(f"bad {noun} count") from None
     if len(lines) != m + 3:
-        raise InstanceParseError(f"expected {m} rule lines plus input")
+        raise InstanceParseError(f"expected {m} {noun} lines plus input")
     rules = []
     for ln in lines[2 : 2 + m]:
         parts = ln.split()
         if len(parts) != 2:
-            raise InstanceParseError(f"bad rule line: {ln!r}")
+            raise InstanceParseError(f"bad {noun} line: {ln!r}")
         rules.append((parts[0], "" if parts[1] == "-" else parts[1]))
     last = lines[2 + m]
     if not last.startswith("input:"):
@@ -245,7 +268,15 @@ def instance_from_text(text: str):
     payload = last.split(":", 1)[1].strip()
     if not is_bits(payload):
         raise InstanceParseError("payload must be a bit string")
-    return RewriteSystem(tuple(rules)), payload
+    return cls(tuple(rules)), payload
+
+
+def instance_to_text(sys: RewriteSystem, payload: str) -> str:
+    return to_text("STS v1", "rule", sys, payload)
+
+
+def instance_from_text(text: str):
+    return from_text("STS v1", "rule", RewriteSystem, text)
 
 
 def trace_to_jsonl(trace) -> str:

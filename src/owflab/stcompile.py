@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bitcodes import is_bits
 from .coding import (
     BLOCKS,
     CodeTable,
@@ -128,7 +129,7 @@ def st_decode_output(comp: StCompilation, w: str):
     if not (w.startswith(dollar) and w.endswith(dollar)):
         return NOT_FINAL
     y = w[l : len(w) - l]
-    if any(ch not in "01" for ch in y):
+    if not is_bits(y):
         return NOT_FINAL
     for code in comp.table.codes.values():
         if code in y:

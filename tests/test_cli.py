@@ -123,6 +123,29 @@ def test_eval_pcp_deep_lookahead_is_identity(tmp_path, capsys):
     assert out == text and "identity" in err
 
 
+@pytest.mark.parametrize("backend, text", [
+    # ptf's paper-pcp policy finds three applicable pairs at step 0
+    ("pcp", "PCP v1\npairs: 3\n0 0\n0 0\n0 0\ninput: 011100\n"),
+    # walking the 1 to the end rewrites 25 M characters, past the limit
+    ("semithue", "STS v1\nrules: 1\n10 01\ninput: 1" + "0" * 5000 + "\n"),
+], ids=["pcp", "semithue"])
+def test_eval_prints_the_functions_output(tmp_path, capsys, backend, text):
+    from owflab import pcp, semithue
+    parse, to_text, f = {
+        "semithue": (semithue.instance_from_text, semithue.instance_to_text,
+                     semithue.staf),
+        "pcp": (pcp.pairs_from_text, pcp.pairs_to_text, pcp.ptf),
+    }[backend]
+    system, payload = parse(text)
+    y = f(semithue.serialize_instance(system, payload))
+    want = to_text(system, semithue.parse_instance(y)[1])
+    inst = tmp_path / "i.txt"
+    inst.write_text(text)
+    code, out, _ = run_cli(capsys, "eval", "--backend", backend,
+                           "--instance", str(inst))
+    assert code == 0 and out == want == text
+
+
 def test_eval_unparseable_is_identity(tmp_path, capsys):
     inst = tmp_path / "junk.sts"
     inst.write_text("not a system\n")

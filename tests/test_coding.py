@@ -40,6 +40,12 @@ def test_gamma_incomplete():
     assert gamma_decode("1", 0) == (1, 1)
 
 
+def test_gamma_rejects_non_bits():
+    # int(·, 2) accepts "1_1" and "1 "; "12" would raise ValueError
+    for bits in ("001_1", "01 ", "01\n", "0012", "2", "0+1"):
+        assert gamma_decode(bits, 0) is None, bits
+
+
 def test_gamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         gamma_encode(0)

@@ -1,3 +1,5 @@
+from sys import modules as sys_modules
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,44 @@ def test_rule_sides_are_built_once():
     sys = RewriteSystem((("1", "0"), ("01", "")))
     assert sys.lhs == ["1", "01"] and sys.rhs == ["0", ""]
     assert sys.lhs is sys.lhs
+
+
+def test_one_call_reads_each_instance_bit_once(monkeypatch):
+    from owflab import bitcodes
+    from owflab.pcp import PairList, ptf
+    original = bitcodes.is_bits
+    read = []
+
+    def counting(s):
+        read.append(len(s))
+        return original(s)
+
+    for name, module in list(sys_modules.items()):
+        if (name.startswith("owflab")
+                and getattr(module, "is_bits", None) is original):
+            monkeypatch.setattr(module, "is_bits", counting)
+    for f, w in [(staf, serialize_instance(RewriteSystem((("10", "01"),)),
+                                           "1000")),
+                 (ptf, serialize_instance(PairList((("1", "0"),)), "1"))]:
+        read.clear()
+        assert f(w) != w
+        assert 0 < sum(read) <= len(w), f.__name__
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.text("01", min_size=1, max_size=6),
+                          st.text("01", max_size=6)), max_size=5),
+       st.text("01", max_size=12), st.sampled_from("2_+- \n"), st.data())
+def test_non_bit_character_anywhere_is_rejected(rules, payload, ch, data):
+    from owflab.pcp import parse_pcp_instance, ptf
+    w = serialize_instance(RewriteSystem(tuple(rules)), payload)
+    k = data.draw(st.integers(0, len(w)))
+    bad = w[:k] + ch + w[k:]
+    with pytest.raises(InstanceParseError):
+        parse_instance(bad)
+    with pytest.raises(InstanceParseError):
+        parse_pcp_instance(bad)
+    assert staf(bad) == bad and ptf(bad) == bad
 
 
 def test_rule_validation():
