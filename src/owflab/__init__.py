@@ -23,7 +23,6 @@ from .inverter import (
     NotFound,
     backward_search,
     brute_invert,
-    evaluate,
     invert_staf_target,
     owf_experiment,
     rows_to_csv,
@@ -100,7 +99,6 @@ from .stcompile import (
     StCompilation,
     compile_semithue,
     expected_schema_counts,
-    st_budget,
     st_decode_output,
     st_encode_input,
 )

@@ -47,7 +47,6 @@ from .semithue import (
 from .stcompile import (
     NOT_FINAL,
     compile_semithue,
-    st_budget,
     st_decode_output,
     st_encode_input,
 )
@@ -192,7 +191,7 @@ def _verify_lemma(m: Machine, name: str, n_max: int):
                 w = st_encode_input(comp, x)
             except ValueError:
                 continue
-            got = det_closure(comp.system, w, st_budget(len(w)), LOOKAHEAD8,
+            got = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
                               want_trace=False)
             if not (got.terminal
                     and st_decode_output(comp, got.result) == want):
@@ -249,9 +248,9 @@ def _verify_determinism(m: Machine, n_max: int):
     x = "10001"
     comp = compile_semithue(m, len(x))
     w = st_encode_input(comp, x)
-    strict = det_closure(comp.system, w, st_budget(len(w)), STRICT,
+    strict = det_closure(comp.system, w, staf_budget(len(w)), STRICT,
                          want_trace=False)
-    look = det_closure(comp.system, w, st_budget(len(w)), LOOKAHEAD8,
+    look = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
                        want_trace=False)
     inst = serialize_instance(comp.system, w)
     rows = [

@@ -1,12 +1,13 @@
 """Brute-force inversion oracles and the forward/inverse cost experiment.
 
-brute_invert enumerates candidate payloads for a target instance, holding
-the system part fixed (the functions never alter it), and forward-checks
-each candidate.  The default candidate stream is all bit strings of the
-payload's length in lexicographic order; experiments narrow it to the
-well-formed encodings of a machine's inputs, which shrinks the space from
-2^N to 2^n without changing soundness (every reported preimage is
-forward-verified).
+brute_invert parses a target instance once and enumerates candidate
+payloads under its system, which the functions never alter.  Each
+candidate goes through the function's payload step (staf_close, ptf_close,
+tiling_close) and is compared with the target's payload; a match is
+confirmed by one call of the function on the whole instance.  The default
+candidate stream is every payload of the target's length in lexicographic
+order; experiments narrow it to the well-formed encodings of a machine's
+inputs, which shrinks the space from 2^N to 2^n without changing soundness.
 """
 
 from __future__ import annotations
@@ -18,19 +19,19 @@ import random
 import time
 from dataclasses import dataclass
 
-from .coding import CodingError
-from .pcp import PAPER_POLICY, ptf
+from .pcp import PAPER_POLICY, ptf, ptf_close
 from .semithue import (
     DeterminismPolicy,
-    InstanceParseError,
     LOOKAHEAD8,
     RewriteSystem,
     parse_instance,
     serialize_instance,
     staf,
+    staf_close,
 )
 from .stcompile import MARKER, compile_semithue
-from .tiling import TilingError, parse_tiling_instance, serialize_tiling_instance, tiling_f
+from .tiling import (parse_tiling_instance, serialize_tiling_instance,
+                     tiling_close, tiling_f)
 
 
 @dataclass(frozen=True)
@@ -49,62 +50,51 @@ class LimitExceeded:
     attempts: int
 
 
-def _bit_strings(n: int):
-    if n == 0:
-        yield ""
-        return
-    for k in range(1 << n):
-        yield format(k, f"0{n}b")
-
-
-def evaluate(f_kind: str, w: str, policy: DeterminismPolicy | None = None) -> str:
-    if f_kind == "staf":
-        return staf(w, policy or LOOKAHEAD8)
-    if f_kind == "ptf":
-        return ptf(w, policy or PAPER_POLICY)
-    if f_kind == "tiling":
-        return tiling_f(w)
-    raise ValueError(f"unknown function kind {f_kind!r}")
-
-
 def brute_invert(f_kind: str, target: str,
                  policy: DeterminismPolicy | None = None,
                  limit: int = 1 << 20, candidates=None):
-    """Search for x' with f(serialize(system, x')) = target.
+    """Search for a payload x' with f(serialize(system, x')) = target.
 
+    The target is parsed once.  Each candidate payload of the target's
+    length over its symbols is mapped by f's payload step (any other
+    cannot map to the target), and a match is confirmed by one call of f.
     Unparseable targets are identity points (f(target) = target), so their
     unique preimage is the target itself.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if f_kind == "tiling":
-        try:
-            ts, row = parse_tiling_instance(target)
-        except TilingError:
-            return Found(target, 0)
-        if candidates is None:
-            candidates = (list(r) for r in itertools.product(
-                range(len(ts.symbols)), repeat=len(row)))
-        rebuild = lambda cand: serialize_tiling_instance(ts, cand)
-    else:
-        try:
-            sys, y = parse_instance(target)
-        except InstanceParseError:
-            return Found(target, 0)
-        if candidates is None:
-            candidates = _bit_strings(len(y))
-        rebuild = lambda cand: serialize_instance(sys, cand)
+    # built per call: the layer tracer rebinds these module attributes
+    kinds = {"staf": (parse_instance, staf_close, serialize_instance, staf),
+             "ptf": (parse_instance, ptf_close, serialize_instance, ptf),
+             "tiling": (parse_tiling_instance, tiling_close,
+                        serialize_tiling_instance, tiling_f)}
+    if f_kind not in kinds:
+        raise ValueError(f"unknown function kind {f_kind!r}")
+    parse, close, serialize, f = kinds[f_kind]
+    policy = policy or {"staf": LOOKAHEAD8, "ptf": PAPER_POLICY}.get(f_kind)
+    try:
+        sys, x = parse(target)
+    except ValueError:  # InstanceParseError, TilingError
+        return Found(target, 0)
+    # a payload is a bit string, or a tiling row as a list of symbol ids
+    symbols, payload = ((sys.symbols, list) if f_kind == "tiling"
+                        else ("01", "".join))
+    if candidates is None:
+        candidates = map(payload, itertools.product(symbols, repeat=len(x)))
+    alphabet = set(symbols)
     attempts = 0
     for cand in candidates:
         if attempts >= limit:
             return LimitExceeded(attempts)
         attempts += 1
-        try:
-            w = rebuild(cand)
-        except (InstanceParseError, TilingError, CodingError, ValueError):
+        if len(cand) != len(x) or not alphabet.issuperset(cand):
             continue
-        if evaluate(f_kind, w, policy) == target:
-            return Found(w, attempts)
+        cand = payload(cand)
+        y = close(sys, cand, policy)
+        if (cand if y is None else y) == x:
+            w = serialize(sys, cand)
+            if (f(w) if f_kind == "tiling" else f(w, policy)) == target:
+                return Found(w, attempts)
     return NotFound(attempts)
 
 
@@ -161,7 +151,7 @@ def invert_staf_target(comp, target: str,
     n = len(y) - 2 * comp.table.code_len
     if n < 1:
         return NotFound(0)
-    cands = (staf_payload(comp, x) for x in _bit_strings(n))
+    cands = (staf_payload(comp, format(k, f"0{n}b")) for k in range(1 << n))
     return brute_invert("staf", target, policy, limit, cands)
 
 
@@ -200,7 +190,6 @@ def owf_experiment(machine, name: str, ns, targets_per_n: int, seed: int,
     per-target work over processes; rows keep their sequential order.
     """
     from .sampler import DefaultUniform, make_rng, sample_sts_instance
-    from .semithue import serialize_instance as ser
 
     rng = random.Random(seed)
     d = DefaultUniform(max_int=64, max_len=32, seed=seed)
@@ -208,7 +197,7 @@ def owf_experiment(machine, name: str, ns, targets_per_n: int, seed: int,
     ident = 0
     for _ in range(identity_samples):
         s = sample_sts_instance(d, srng)
-        w = ser(s.system, s.payload)
+        w = serialize_instance(s.system, s.payload)
         if staf(w, policy) == w:
             ident += 1
     identity_rate = ident / identity_samples if identity_samples else 0.0

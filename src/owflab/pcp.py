@@ -29,6 +29,7 @@ from .semithue import (
     one_way,
     parse_instance,
     serialize_instance,
+    string_close,
     to_text,
 )
 from .stcompile import CompileError, NOT_FINAL
@@ -92,17 +93,21 @@ def ptf_budget(n: int) -> int:
     return n ** 4
 
 
+def ptf_close(g: RewriteSystem, x: str, policy=PAPER_POLICY):
+    """The payload ptf maps x to under g, or None (the identity)."""
+    return string_close(pcp_det_closure, ptf_budget, g, x, policy)
+
+
 def ptf(w: str, policy: DeterminismPolicy = PAPER_POLICY) -> str:
     """The bounded-PCP one-way function; total and length-preserving."""
-    return one_way(w, pcp_det_closure, ptf_budget, policy)
+    return one_way(w, parse_instance, ptf_close, serialize_instance, policy)
 
 
 serialize_pcp_instance = serialize_instance
 
 
 def parse_pcp_instance(bits: str):
-    sys, payload = parse_instance(bits)
-    return PairList(sys.rules), payload
+    return parse_instance(bits, PairList)
 
 
 # --- Turing machine compiler ----------------------------------------------

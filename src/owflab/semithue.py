@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kernels
 from .bitcodes import gamma_decode, gamma_encode, is_bits
@@ -49,6 +50,11 @@ class RewriteSystem:
             raise InstanceParseError(self._NOT_BITS)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+
+    @cached_property
+    def index(self):
+        """The left sides as a kernels.RuleIndex, built on first use."""
+        return kernels.RuleIndex(self.lhs)
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ _REASON = {
 
 
 def find_matches(sys: RewriteSystem, w: str):
-    return [Match(i, p) for p, i in kernels.st_find_matches(sys.lhs, w)]
+    return [Match(i, p) for p, i in kernels.st_find_matches(sys.index, w)]
 
 
 def apply_match(sys: RewriteSystem, w: str, m: Match) -> str:
@@ -131,7 +137,7 @@ def apply_match(sys: RewriteSystem, w: str, m: Match) -> str:
 
 def det_step(sys: RewriteSystem, w: str, policy: DeterminismPolicy) -> StepOutcome:
     kind, y, p, i, count = kernels.st_step(
-        sys.lhs, sys.rhs, w, policy.mode_id, policy.depth, policy.max_branch
+        sys.index, sys.rhs, w, policy.mode_id, policy.depth, policy.max_branch
     )
     name = _KIND[kind]
     if name == "unique":
@@ -145,7 +151,7 @@ def det_closure(sys: RewriteSystem, w: str, budget: int,
     if budget < 0:
         raise ValueError("budget must be >= 0")
     return closure_outcome(*kernels.st_closure(
-        sys.lhs, sys.rhs, w, budget, policy.mode_id, policy.depth,
+        sys.index, sys.rhs, w, budget, policy.mode_id, policy.depth,
         policy.max_branch, want_trace, work_limit
     ))
 
@@ -173,8 +179,8 @@ def serialize_instance(sys: RewriteSystem, payload: str) -> str:
     return "".join(out)
 
 
-def parse_instance(bits: str):
-    """Inverse of serialize_instance; returns (system, payload) or raises.
+def parse_instance(bits: str, cls=RewriteSystem):
+    """Inverse of serialize_instance: (cls(rules), payload), or raises.
 
     Each character is checked once: gamma_decode rejects a non-bit code,
     RewriteSystem the rule strings, and the payload is checked here.
@@ -199,34 +205,41 @@ def parse_instance(bits: str):
     payload = bits[pos:]
     if not is_bits(payload):
         raise InstanceParseError("payload must be a bit string")
-    return RewriteSystem(tuple(zip(rules[0::2], rules[1::2]))), payload
+    return cls(tuple(zip(rules[0::2], rules[1::2]))), payload
 
 
-def one_way(w: str, closure, budget, policy: DeterminismPolicy) -> str:
-    """The body of staf and ptf: parse w, close its payload x under
-    `closure` within budget(|x|) steps, and serialize the result if it is
-    terminal and as long as x; otherwise w.
-
-    staf and ptf look `closure` and `budget` up in their module on every
-    call, so a rebinding of those module attributes (owfbench's layer
-    tracer) sees the call."""
+def one_way(w: str, parse, close, serialize, policy):
+    """The body of staf, ptf and tiling_f: (system, x) = parse(w) maps to
+    serialize(system, close(system, x, policy)), and to w itself where w
+    does not parse or close returns None.  The callers pass their module
+    attributes on every call, so owfbench's layer tracer sees them."""
     try:
-        sys, x = parse_instance(w)
-    except InstanceParseError:
+        sys, x = parse(w)
+    except ValueError:  # InstanceParseError, TilingError
         return w
+    y = close(sys, x, policy)
+    return w if y is None else serialize(sys, y)
+
+
+def string_close(closure, budget, sys, x: str, policy: DeterminismPolicy):
+    """The payload step of staf and ptf: the closure of x within
+    budget(|x|) steps if it is terminal and as long as x, else None."""
     out = closure(sys, x, budget(len(x)), policy, want_trace=False)
-    if out.terminal and len(out.result) == len(x):
-        return serialize_instance(sys, out.result)
-    return w
+    return out.result if out.terminal and len(out.result) == len(x) else None
 
 
 def staf_budget(n: int) -> int:
     return n * n + 4 * n + 2
 
 
+def staf_close(sys: RewriteSystem, x: str, policy=LOOKAHEAD8):
+    """The payload staf maps x to under sys, or None (the identity)."""
+    return string_close(det_closure, staf_budget, sys, x, policy)
+
+
 def staf(w: str, policy: DeterminismPolicy = LOOKAHEAD8) -> str:
     """The semi-Thue accessibility function; total and length-preserving."""
-    return one_way(w, det_closure, staf_budget, policy)
+    return one_way(w, parse_instance, staf_close, serialize_instance, policy)
 
 
 # --- text format and traces ----------------------------------------------

@@ -30,7 +30,7 @@ from .coding import (
     encode,
 )
 from .machine import BLANK, LEFT, Machine, RIGHT, TAPE_SYMBOLS
-from .semithue import RewriteSystem, staf_budget
+from .semithue import RewriteSystem
 
 MARKER = "$"
 SHUTTLE_FWD = "s1"
@@ -135,13 +135,6 @@ def st_decode_output(comp: StCompilation, w: str):
         if code in y:
             return NOT_FINAL
     return y
-
-
-def st_budget(n: int) -> int:
-    """Step budget for an input string of length n."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    return staf_budget(n)
 
 
 def expected_schema_counts(m: Machine):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .bitcodes import gamma_decode, gamma_encode, is_bits
 from .machine import BLANK, Machine, RIGHT, TAPE_SYMBOLS
+from .semithue import one_way
 
 EMPTY = "."  # the blank edge symbol; an ordinary symbol, not a wildcard
 LEFT_BORDER = "$"
@@ -265,18 +266,19 @@ def parse_tiling_instance(bits: str):
     return TileSet(tuple(range(s_count)), tuple(tiles)), row
 
 
+def tiling_close(ts: TileSet, row, policy=None):
+    """The top row tiling_f maps (ts, row) to, or None where tiling_f is
+    the identity.  policy is unused: every row is solved exactly."""
+    if not row:
+        return None
+    out = tile_closure(ts, row, height=len(row))
+    return list(out.top) if isinstance(out, Completed) else None
+
+
 def tiling_f(w: str) -> str:
     """The tiling one-way function; total and length-preserving."""
-    try:
-        ts, row = parse_tiling_instance(w)
-    except TilingError:
-        return w
-    if not row:
-        return w
-    out = tile_closure(ts, row, height=len(row))
-    if isinstance(out, Completed):
-        return serialize_tiling_instance(ts, list(out.top))
-    return w
+    return one_way(w, parse_tiling_instance, tiling_close,
+                   serialize_tiling_instance, None)
 
 
 # --- text format ----------------------------------------------------------

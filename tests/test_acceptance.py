@@ -17,7 +17,6 @@ from owflab.coding import (
 )
 from owflab.inverter import (
     Found,
-    evaluate,
     invert_staf_target,
     staf_payload,
     staf_target,
@@ -48,10 +47,10 @@ from owflab.semithue import (
     parse_instance,
     serialize_instance,
     staf,
+    staf_budget,
 )
 from owflab.stcompile import (
     compile_semithue,
-    st_budget,
     st_decode_output,
     st_encode_input,
 )
@@ -96,7 +95,7 @@ def semithue_suite():
             ref = run(m, x, step_bound(len(x)))
             assert isinstance(ref, Halted)
             w = st_encode_input(comp, x)
-            out = det_closure(comp.system, w, st_budget(len(w)), LOOKAHEAD8)
+            out = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8)
             cases.append((name, x, comp, ref, w, out))
     return cases, time.perf_counter() - t0
 
@@ -121,7 +120,7 @@ def test_acceptance_2_step_budgets(semithue_suite):
         bound = T + 2 * len(x) + 2 * len(ref.output) + 2 + T
         r1_steps = sum(1 for t in out.trace if t.rule < comp.r1_count)
         blocks = len(block_decompose(x))
-        if not (out.steps <= bound and out.steps <= st_budget(len(w))
+        if not (out.steps <= bound and out.steps <= staf_budget(len(w))
                 and r1_steps == 2 * blocks + 1):
             bad.append((name, x, out.steps, bound, r1_steps))
     verdict(2, not bad,
@@ -328,7 +327,7 @@ def test_acceptance_8_inversion():
         for k in range(1 << n):
             cand = staf_payload(comp, format(k, f"0{n}b"))
             w = serialize_instance(comp.system, cand)
-            if evaluate("staf", w) == target:
+            if staf(w) == target:
                 hits += 1
         if hits != 1:
             unique = False

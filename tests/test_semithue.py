@@ -179,7 +179,7 @@ def test_rule_sides_are_built_once():
 
 def test_one_call_reads_each_instance_bit_once(monkeypatch):
     from owflab import bitcodes
-    from owflab.pcp import PairList, ptf
+    from owflab.pcp import PairList, parse_pcp_instance, ptf
     original = bitcodes.is_bits
     read = []
 
@@ -191,9 +191,12 @@ def test_one_call_reads_each_instance_bit_once(monkeypatch):
         if (name.startswith("owflab")
                 and getattr(module, "is_bits", None) is original):
             monkeypatch.setattr(module, "is_bits", counting)
+    long_pair = PairList((("1" * 40, "0" * 40),))
     for f, w in [(staf, serialize_instance(RewriteSystem((("10", "01"),)),
                                            "1000")),
-                 (ptf, serialize_instance(PairList((("1", "0"),)), "1"))]:
+                 (ptf, serialize_instance(PairList((("1", "0"),)), "1")),
+                 # a second check of the long pair strings overruns len(w)
+                 (parse_pcp_instance, serialize_instance(long_pair, "1"))]:
         read.clear()
         assert f(w) != w
         assert 0 < sum(read) <= len(w), f.__name__

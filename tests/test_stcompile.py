@@ -1,13 +1,12 @@
 import pytest
 
 from owflab.machine import Halted, library_machine, run, step_bound
-from owflab.semithue import LOOKAHEAD8, STRICT, det_closure
+from owflab.semithue import LOOKAHEAD8, STRICT, det_closure, staf_budget
 from owflab.stcompile import (
     CompileError,
     NOT_FINAL,
     compile_semithue,
     expected_schema_counts,
-    st_budget,
     st_decode_output,
     st_encode_input,
 )
@@ -70,7 +69,7 @@ def test_salt_seed_changes_codes_not_behavior():
     assert a.table.salt != b.table.salt
     for comp in (a, b):
         w = st_encode_input(comp, "1101")
-        out = det_closure(comp.system, w, st_budget(len(w)), LOOKAHEAD8,
+        out = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
                           want_trace=False)
         assert out.terminal
         assert st_decode_output(comp, out.result) == "0010"
@@ -84,7 +83,7 @@ def test_simulation_small(name):
         ref = run(m, x, step_bound(len(x)))
         assert isinstance(ref, Halted)
         w = st_encode_input(comp, x)
-        out = det_closure(comp.system, w, st_budget(len(w)), LOOKAHEAD8,
+        out = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
                           want_trace=False)
         assert out.terminal, (name, x, out.reason)
         assert st_decode_output(comp, out.result) == ref.output, (name, x)
@@ -94,10 +93,10 @@ def test_strict_fails_on_block_ambiguity():
     m = library_machine("id")
     comp = compile_semithue(m, 5)
     w = st_encode_input(comp, "10001")
-    strict = det_closure(comp.system, w, st_budget(len(w)), STRICT,
+    strict = det_closure(comp.system, w, staf_budget(len(w)), STRICT,
                          want_trace=False)
     assert not strict.terminal and strict.reason == "Ambiguous"
-    look = det_closure(comp.system, w, st_budget(len(w)), LOOKAHEAD8,
+    look = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
                        want_trace=False)
     assert look.terminal
 
@@ -108,9 +107,3 @@ def test_internal_name_clash_rejected():
     m = Machine("clash", ("s1", "h"), "s1", "h", t)
     with pytest.raises(CompileError):
         compile_semithue(m, 4)
-
-
-def test_st_budget_validation():
-    assert st_budget(32) == 1154
-    with pytest.raises(ValueError):
-        st_budget(0)
