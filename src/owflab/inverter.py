@@ -58,8 +58,9 @@ def brute_invert(f_kind: str, target: str,
     The target is parsed once.  Each candidate payload of the target's
     length over its symbols is mapped by f's payload step (any other
     cannot map to the target), and a match is confirmed by one call of f.
-    Unparseable targets are identity points (f(target) = target), so their
-    unique preimage is the target itself.
+    candidates is an iterable of payloads, or a function of the target's
+    payload that returns one.  Unparseable targets are identity points
+    (f(target) = target), so their unique preimage is the target itself.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -81,6 +82,8 @@ def brute_invert(f_kind: str, target: str,
                         else ("01", "".join))
     if candidates is None:
         candidates = map(payload, itertools.product(symbols, repeat=len(x)))
+    elif callable(candidates):
+        candidates = candidates(x)
     alphabet = set(symbols)
     attempts = 0
     for cand in candidates:
@@ -146,12 +149,13 @@ def staf_target(comp, x: str, policy: DeterminismPolicy = LOOKAHEAD8) -> str:
 def invert_staf_target(comp, target: str,
                        policy: DeterminismPolicy = LOOKAHEAD8,
                        limit: int = 1 << 20):
-    """brute_invert over the 2ⁿ well-formed payload encodings."""
-    sys, y = parse_instance(target)
-    n = len(y) - 2 * comp.table.code_len
-    if n < 1:
-        return NotFound(0)
-    cands = (staf_payload(comp, format(k, f"0{n}b")) for k in range(1 << n))
+    """brute_invert over the 2ⁿ well-formed payload encodings, n read from
+    the length of the target's payload."""
+    def cands(y):
+        n = len(y) - 2 * comp.table.code_len
+        return (staf_payload(comp, format(k, f"0{n}b"))
+                for k in range(1 << n if n >= 1 else 0))
+
     return brute_invert("staf", target, policy, limit, cands)
 
 

@@ -24,11 +24,23 @@ the deepest-survivor rule suffices: measure each candidate's longest
 derivation, capped at depth+1, and keep the step only when one candidate
 strictly outlives the rest.
 
+A rewrite step changes one window of its string, so the match list of a
+successor is derived from its parent's (_st_derive): the matches before
+the window are kept, those after it are shifted, and only the window is
+scanned again.  The closure carries each step's list to the next, and the
+lookahead derives a node's list when it expands the node.  A full scan
+(st_find_matches) is left for a closure's first string and for the
+successors of a string whose list is too dense to carry.
+
 Kernels call each other through module globals, so a tracer that rebinds
-them sees the inner calls too (the lookahead's match scans included).
+them sees the inner calls too: each closure step and each full scan.  The
+window scans of a derivation are not calls of st_find_matches; they count
+as the work of the step that makes them.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 STEP_UNIQUE = 0
 STEP_STUCK = 1
@@ -98,11 +110,18 @@ class RuleIndex(tuple):
 
     Rules are grouped by their first k characters, k the length of the
     shortest side.  A group whose members share a prefix of at least
-    _SHARED_MIN characters is searched once for that prefix, and each hit
-    is checked against every member with startswith; the members of any
-    other group are searched side by side, identical sides sharing one
-    scan.  A member equal to its needle needs no check and is stored as
-    None; a needle with a single such member is a lone rule.
+    _SHARED_MIN characters is searched once for that prefix, and at each
+    hit the string's next n characters are looked up in the group's table
+    of sides of length n, one table per length among its members; the
+    members of any other group are searched side by side, identical sides
+    sharing one scan.  A needle with a single member is a lone rule.
+
+    longest is the length of the longest side, which bounds how far before
+    a rewritten window a match can start and still overlap it.  A match
+    list is carried from a string to its successors only while it holds at
+    most carry_max matches, one per needle: a denser list is dropped and
+    its successors are scanned afresh, so that the lookahead never keeps
+    long lists on its stack.
     """
 
     def __new__(cls, lhs):
@@ -128,14 +147,18 @@ class RuleIndex(tuple):
         # resized, and the interpreter's per-size tuple free lists then keep
         # thousands of the resized tuples for the life of the process
         self.lone = []  # (rule, index)
-        self.shared = []  # (needle, [(rule or None, index), ...])
+        self.shared = []  # (needle, [(length, {rule: [index, ...]}), ...])
         for needle, members in needles.items():
             if len(members) == 1:
                 self.lone.append((needle, members[0]))
             else:
-                self.shared.append((needle, [
-                    (None if self[i] == needle else self[i], i)
-                    for i in members]))
+                by_len = {}
+                for i in members:
+                    by_len.setdefault(len(self[i]), {}).setdefault(
+                        self[i], []).append(i)
+                self.shared.append((needle, list(by_len.items())))
+        self.longest = max(map(len, self), default=0)
+        self.carry_max = len(needles)
         return self
 
 
@@ -143,15 +166,10 @@ def _indexed(lhs):
     return lhs if type(lhs) is RuleIndex else RuleIndex(lhs)
 
 
-def st_find_matches(lhs, w):
-    """All (position, rule index) pairs, sorted by (position, rule).
-
-    lhs is a RuleIndex, or a sequence of left-hand sides indexed here.
-    """
-    lhs = _indexed(lhs)
+def _scan(lhs, w):
+    """All (position, rule index) pairs of w, sorted."""
     out = []
     find = w.find
-    startswith = w.startswith
     for g, i in lhs.lone:
         p = find(g)
         while p >= 0:
@@ -160,19 +178,54 @@ def st_find_matches(lhs, w):
     for prefix, members in lhs.shared:
         p = find(prefix)
         while p >= 0:
-            for g, i in members:
-                if g is None or startswith(g, p):
+            for n, rules in members:
+                for i in rules.get(w[p:p + n], ()):
                     out.append((p, i))
             p = find(prefix, p + 1)
     out.sort()
     return out
 
 
-def _st_successors(lhs, rhs, w):
-    """Deduplicated successor strings with their first (pos, rule)."""
+def st_find_matches(lhs, w):
+    """All (position, rule index) pairs, sorted by (position, rule).
+
+    lhs is a RuleIndex, or a sequence of left-hand sides indexed here.
+    """
+    return _scan(_indexed(lhs), w)
+
+
+def _st_derive(lhs, w, matches, p, i, y):
+    """The matches of y, which is w with rule i applied at p, from the
+    matches of w.
+
+    A match of either string that starts before lo = p - longest + 1 ends
+    by p, inside the prefix the two share; one of w that starts at or after
+    p + |lhs_i| lies in the suffix they share, which sits |y| - |w| further
+    along in y.  The matches of y that start in the window between,
+    [lo, p + |rhs_i|), are found by scanning the window and the
+    longest - 1 characters after it, or all of y when that covers it.
+    """
+    a = len(lhs[i])
+    d = len(y) - len(w)
+    lo = max(0, p - lhs.longest + 1)
+    span = p + a + d - lo
+    if lo == 0 and span + lhs.longest > len(y):
+        return _scan(lhs, y)
+    head = bisect_left(matches, (lo,))
+    tail = bisect_left(matches, (p + a,), head)
+    out = matches[:head]
+    window = y[lo:lo + span + lhs.longest - 1]
+    out += [(q + lo, j) for q, j in _scan(lhs, window) if q < span]
+    out += [(q + d, j) for q, j in matches[tail:]] if d else matches[tail:]
+    return out
+
+
+def _st_successors(lhs, rhs, w, matches):
+    """Deduplicated successor strings with their first (pos, rule), from
+    the match list of w."""
     seen = set()
     out = []
-    for p, i in st_find_matches(lhs, w):
+    for p, i in matches:
         y = w[:p] + rhs[i] + w[p + len(lhs[i]):]
         if y not in seen:
             seen.add(y)
@@ -180,22 +233,34 @@ def _st_successors(lhs, rhs, w):
     return out
 
 
-def _st_alive(lhs, rhs, s, ref_len, max_branch, node_budget, memo):
-    """Can s still reach a stuck string of length ref_len?
+def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo):
+    """Can root's string still reach a stuck string of length ref_len?
+
+    root, like each entry of the search stack, is (s, w, w's match list or
+    None, p, i): s is w with rule i applied at p.  The match list of s is
+    derived from w's when s is expanded, not when it is pushed, and
+    rescanned when w's was too dense to carry.
 
     memo caches proven answers across the calls of one closure.  DFS with
     a node budget; exhausting the budget returns True without caching.
     """
+    s = root[0]
     got = memo.get(s)
     if got is not None:
         return got
-    stack = [s]
+    stack = [root]
     visited = {s}
     parent = {s: None}
     budget = node_budget
     while stack:
-        w = stack.pop()
-        succ = _st_successors(lhs, rhs, w)
+        w, up, matches, p, i = stack.pop()
+        matches = (st_find_matches(lhs, w) if matches is None
+                   else _st_derive(lhs, up, matches, p, i, w))
+        succ = _st_successors(lhs, rhs, w, matches)
+        if len(matches) > lhs.carry_max:
+            # not carried, and freed before the next node is scanned: a
+            # dense list kept alive here would double the allocation peak
+            matches = None
         if len(succ) > max_branch:
             raise _Overflow
         if not succ:
@@ -206,7 +271,7 @@ def _st_alive(lhs, rhs, s, ref_len, max_branch, node_budget, memo):
                     node = parent[node]
                 return True
             continue
-        for y, _, _ in succ:
+        for y, p, i in succ:
             if y in visited:
                 continue
             cached = memo.get(y)
@@ -223,63 +288,73 @@ def _st_alive(lhs, rhs, s, ref_len, max_branch, node_budget, memo):
                 return True  # unproven; do not cache
             visited.add(y)
             parent[y] = w
-            stack.append(y)
+            stack.append((y, w, matches, p, i))
     for w in visited:
         memo[w] = False
     return False
 
 
-def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None):
-    """One deterministic rewrite step.  mode: 0 strict, 1 lookahead."""
+def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
+            carry=None):
+    """One deterministic rewrite step.  mode: 0 strict, 1 lookahead.
+
+    carry, if given, is [string, its match list or None].  When it holds w
+    and a list, the list stands in for a scan of w.  A unique step sets it
+    to the successor and the successor's list, derived from w's, or None
+    when w's list is too dense to carry.
+    """
     lhs = _indexed(lhs)
-    if mode == 0:
+    if carry is not None and carry[1] is not None and carry[0] == w:
+        matches = carry[1]
+    else:
         matches = st_find_matches(lhs, w)
-        if not matches:
-            return (STEP_STUCK, w, -1, -1, 0)
-        if len(matches) == 1:
-            p, i = matches[0]
-            y = w[:p] + rhs[i] + w[p + len(lhs[i]):]
-            return (STEP_UNIQUE, y, p, i, 1)
+    if mode == 0 and len(matches) > 1:
         return (STEP_AMBIGUOUS, w, -1, -1, len(matches))
-    succ = _st_successors(lhs, rhs, w)
+    succ = _st_successors(lhs, rhs, w, matches)
     if not succ:
         return (STEP_STUCK, w, -1, -1, 0)
-    if len(succ) == 1:
-        y, p, i = succ[0]
-        return (STEP_UNIQUE, y, p, i, 1)
-    if len(succ) > max_branch:
-        return (STEP_OVERFLOW, w, -1, -1, len(succ))
-    if ref_len < 0:
-        ref_len = len(w)
-    if memo is None:
-        memo = {}
-    node_budget = max_branch * (depth + 1)
-    survivors = []
-    try:
-        for k, (y, p, i) in enumerate(succ):
-            if _st_alive(lhs, rhs, y, ref_len, max_branch, node_budget, memo):
-                survivors.append(k)
-                if len(survivors) > 1:
-                    break
-    except _Overflow:
-        return (STEP_OVERFLOW, w, -1, -1, len(succ))
-    if len(survivors) == 1:
-        y, p, i = succ[survivors[0]]
-        return (STEP_UNIQUE, y, p, i, 1)
-    return (STEP_AMBIGUOUS, w, -1, -1, len(succ))
+    carried = matches if len(matches) <= lhs.carry_max else None
+    if len(succ) > 1:
+        if len(succ) > max_branch:
+            return (STEP_OVERFLOW, w, -1, -1, len(succ))
+        if ref_len < 0:
+            ref_len = len(w)
+        if memo is None:
+            memo = {}
+        node_budget = max_branch * (depth + 1)
+        survivors = []
+        try:
+            for y, p, i in succ:
+                if _st_alive(lhs, rhs, (y, w, carried, p, i), ref_len,
+                             max_branch, node_budget, memo):
+                    survivors.append((y, p, i))
+                    if len(survivors) > 1:
+                        break
+        except _Overflow:
+            return (STEP_OVERFLOW, w, -1, -1, len(succ))
+        if len(survivors) != 1:
+            return (STEP_AMBIGUOUS, w, -1, -1, len(succ))
+        succ = survivors
+    y, p, i = succ[0]
+    if carry is not None:
+        carry[:] = y, (None if carried is None
+                       else _st_derive(lhs, w, carried, p, i, y))
+    return (STEP_UNIQUE, y, p, i, 1)
 
 
 def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
                want_trace=False, work_limit=0):
     """Iterate st_step while unique; see _close.  The rule index is built
-    once here, and every step's lookahead measures usefulness against the
-    initial length and shares one memo."""
+    once here, every step's lookahead measures usefulness against the
+    initial length and shares one memo, and each step carries its
+    successor's match list to the next (see st_step)."""
     lhs = _indexed(lhs)
     ref_len = len(w)
     memo = {}
+    carry = [w, None]
     return _close(
         lambda s: st_step(lhs, rhs, s, mode, depth, max_branch, ref_len,
-                          memo),
+                          memo, carry),
         w, budget, want_trace, work_limit)
 
 

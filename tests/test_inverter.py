@@ -211,6 +211,32 @@ def test_staf_target_attempt_rank():
         assert payload[l:-l] == x
 
 
+def test_machine_targeted_inversion_parses_the_target_once(monkeypatch):
+    comp = compile_semithue(library_machine("not"), 4)
+    unevaluated = serialize_instance(comp.system, staf_payload(comp, "1111"))
+    image = staf(unevaluated)
+    parses = []
+    original = semithue.parse_instance
+
+    def counting(*args):
+        parses.append(1)
+        return original(*args)
+
+    for module in (semithue, inverter):
+        monkeypatch.setattr(module, "parse_instance", counting)
+    assert invert_staf_target(comp, unevaluated) == NotFound(16)
+    assert len(parses) == 1
+    # the second parse is the confirming staf call's
+    assert invert_staf_target(comp, image) == Found(unevaluated, 16)
+    assert len(parses) == 3
+
+
+def test_machine_targeted_inversion_of_unparseable_target():
+    comp = compile_semithue(library_machine("not"), 4)
+    assert invert_staf_target(comp, "00") == Found("00", 0)
+    assert invert_staf_target(comp, "00") == brute_invert("staf", "00")
+
+
 def test_undecomposable_input_is_staf_fixed_point():
     m = library_machine("not")
     comp = compile_semithue(m, 5)
