@@ -9,8 +9,8 @@ total, so identity is a value, not an error), 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import inverter, sampler
@@ -26,41 +26,23 @@ from .machine import (
 from .pcp import (
     PAPER_POLICY,
     compile_pcp,
-    pairs_from_text,
     pairs_to_text,
     pcp_decode_output,
-    pcp_det_closure,
     pcp_encode_input,
-    ptf_budget,
 )
 from .semithue import (
     DeterminismPolicy,
-    InstanceParseError,
     LOOKAHEAD8,
     STRICT,
     det_closure,
-    instance_from_text,
     instance_to_text,
     staf_budget,
     trace_to_jsonl,
 )
-from .stcompile import (
-    NOT_FINAL,
-    compile_semithue,
-    st_decode_output,
-    st_encode_input,
-)
+from .stcompile import compile_semithue, st_decode_output, st_encode_input
 from .coding import table_to_json
-from .tiling import (
-    Completed,
-    TilingError,
-    bottom_row,
-    compile_tileset,
-    extract_output,
-    tile_closure,
-    tileset_from_text,
-    tileset_to_text,
-)
+from .tiling import (bottom_row, compile_tileset, extract_output,
+                     tileset_to_text)
 
 
 class CliError(Exception):
@@ -120,97 +102,80 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-# per string relation: text parser, closure, step budget, text writer,
-# and the default policy of its one-way function (staf, ptf)
-_STRING_BACKENDS = {
-    "semithue": (instance_from_text, det_closure, staf_budget,
-                 instance_to_text, LOOKAHEAD8),
-    "pcp": (pairs_from_text, pcp_det_closure, ptf_budget, pairs_to_text,
-            PAPER_POLICY),
-}
+def _functions():
+    """inverter.functions() keyed by the --backend name of each relation."""
+    return {fn.backend: fn for fn in inverter.functions().values()}
 
 
 def _cmd_eval(args) -> int:
-    if args.backend == "tiling":
+    fn = _functions()[args.backend]
+    policy = fn.policy
+    if policy is None:  # tiling: every row is solved exactly, no trace
         for flag, value in (("--trace", args.trace),
                             ("--semantics", args.semantics)):
             if value is not None:
-                raise CliError(f"{flag} is not supported by the tiling "
-                               "backend")
-    else:
-        parse, closure, budget, to_text, policy = _STRING_BACKENDS[
-            args.backend]
-        if args.semantics is not None:
-            policy = _parse_semantics(args.semantics)
+                raise CliError(f"{flag} is not supported by the "
+                               f"{args.backend} backend")
+    elif args.semantics is not None:
+        policy = _parse_semantics(args.semantics)
     text = Path(args.instance).read_text()
-    if args.backend != "tiling":
-        try:
-            system, payload = parse(text)
-        except InstanceParseError as e:
-            print(f"note: unparseable instance ({e}); identity")
-            print(text, end="")
-            return 0
-        out = closure(system, payload, budget(len(payload)), policy)
-        if out.terminal and len(out.result) == len(payload):
-            print(to_text(system, out.result), end="")
-        else:
-            print(to_text(system, payload), end="")
-            print(f"note: {out.reason or 'wrong length'} at step {out.steps};"
-                  " identity", file=sys.stderr)
-        if args.trace:
-            Path(args.trace).write_text(trace_to_jsonl(out.trace))
+    try:
+        system, payload = fn.from_text(text)
+    except ValueError as e:  # InstanceParseError, TilingError
+        print(f"note: unparseable instance ({e}); identity")
+        print(text, end="")
+        return 0
+    out = fn.closure(system, payload, fn.budget(len(payload)), policy,
+                     want_trace=bool(args.trace))
+    if out.terminal and len(out.result) == len(payload):
+        print(fn.to_text(system, out.result), end="")
     else:
-        try:
-            ts, row = tileset_from_text(text)
-        except TilingError as e:
-            print(f"note: unparseable instance ({e}); identity")
-            print(text, end="")
-            return 0
-        out = tile_closure(ts, row, height=max(1, len(row)))
-        if isinstance(out, Completed):
-            print(tileset_to_text(ts, list(out.top)), end="")
-        else:
-            print(tileset_to_text(ts, row), end="")
-            print(f"note: {type(out).__name__} at row {out.row}; identity",
-                  file=sys.stderr)
+        print(fn.to_text(system, payload), end="")
+        print(f"note: {out.reason or 'wrong length'} at step {out.steps};"
+              " identity", file=sys.stderr)
+    if args.trace:
+        Path(args.trace).write_text(trace_to_jsonl(out.trace))
     return 0
 
 
+def _lemma_cases(m: Machine, n: int):
+    """Per backend: the compiled system for inputs of length n, its
+    payload for an input x, and the output a closure result decodes to."""
+    st, pc = compile_semithue(m, n), compile_pcp(m, n)
+    cases = {
+        "semithue": (st.system, partial(st_encode_input, st),
+                     partial(st_decode_output, st)),
+        "pcp": (pc.pairs, partial(pcp_encode_input, pc),
+                partial(pcp_decode_output, pc)),
+    }
+    if n >= 2:  # a one-column square cannot halt on tape cell 1
+        cases["tiling"] = (compile_tileset(m), partial(bottom_row, m),
+                           lambda top: extract_output(top, n))
+    return cases
+
+
 def _verify_lemma(m: Machine, name: str, n_max: int):
+    """Each backend's closure of each input of length 1..n_max decodes to
+    the machine's output.  An input a backend cannot encode (no block
+    decomposition, for semithue) is skipped by that backend only."""
+    fns = _functions()
     rows = []
     for n in range(1, n_max + 1):
-        st_ok = pc_ok = True
-        ti_ok = True
-        comp = compile_semithue(m, n)
-        pcomp = compile_pcp(m, n)
-        ts = compile_tileset(m)
+        cases = _lemma_cases(m, n)
+        ok = dict.fromkeys(cases, True)
         for k in range(1 << n):
             x = format(k, f"0{n}b")
             want = run(m, x, step_bound(n)).output
-            try:
-                w = st_encode_input(comp, x)
-            except ValueError:
-                continue
-            got = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
-                              want_trace=False)
-            if not (got.terminal
-                    and st_decode_output(comp, got.result) == want):
-                st_ok = False
-            pw = pcp_encode_input(pcomp, x)
-            pgot = pcp_det_closure(pcomp.pairs, pw, ptf_budget(len(pw)),
-                                   PAPER_POLICY, want_trace=False)
-            if not (pgot.terminal
-                    and pcp_decode_output(pcomp, pgot.result) == want):
-                pc_ok = False
-            if n >= 2:
-                tgot = tile_closure(ts, bottom_row(m, x), n * n + 2)
-                if not (isinstance(tgot, Completed)
-                        and extract_output(tgot.top, n) == want):
-                    ti_ok = False
-        rows.append((f"semithue {name} n={n}", st_ok))
-        rows.append((f"pcp {name} n={n}", pc_ok))
-        if n >= 2:
-            rows.append((f"tiling {name} n={n}", ti_ok))
+            for backend, (system, encode, decode) in cases.items():
+                try:
+                    w = encode(x)
+                except ValueError:
+                    continue
+                fn = fns[backend]
+                got = fn.closure(system, w, fn.budget(len(w)), fn.policy,
+                                 want_trace=False)
+                ok[backend] &= got.terminal and decode(got.result) == want
+        rows += [(f"{backend} {name} n={n}", ok[backend]) for backend in cases]
     return rows
 
 

@@ -1,13 +1,17 @@
-"""Brute-force inversion oracles and the forward/inverse cost experiment.
+"""Brute-force inversion oracles, the table of the three one-way
+functions, and the forward/inverse cost experiment.
 
+functions() lists staf, ptf and tiling_f with the parts each is made of
+(parse, closure, step budget, serialize, text format, default policy);
+brute_invert, `owflab eval` and `owflab verify --suite lemma` read it.
 brute_invert parses a target instance once and enumerates candidate
 payloads under its system, which the functions never alter.  Each
-candidate goes through the function's payload step (staf_close, ptf_close,
-tiling_close) and is compared with the target's payload; a match is
-confirmed by one call of the function on the whole instance.  The default
-candidate stream is every payload of the target's length in lexicographic
-order; experiments narrow it to the well-formed encodings of a machine's
-inputs, which shrinks the space from 2^N to 2^n without changing soundness.
+candidate goes through the payload step (semithue.payload_step) and is
+compared with the target's payload; a match is confirmed by one call of
+the function on the whole instance.  The default candidate stream is
+every payload of the target's length in lexicographic order; experiments
+narrow it to the well-formed encodings of a machine's inputs, which
+shrinks the space from 2^N to 2^n without changing soundness.
 """
 
 from __future__ import annotations
@@ -17,21 +21,48 @@ import io
 import itertools
 import random
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
-from .pcp import PAPER_POLICY, ptf, ptf_close
+from . import pcp, semithue, tiling
 from .semithue import (
     DeterminismPolicy,
     LOOKAHEAD8,
     RewriteSystem,
-    parse_instance,
+    payload_step,
     serialize_instance,
     staf,
-    staf_close,
 )
 from .stcompile import MARKER, compile_semithue
-from .tiling import (parse_tiling_instance, serialize_tiling_instance,
-                     tiling_close, tiling_f)
+
+
+# f(w) = semithue.one_way(w, parse, closure, budget, serialize, policy),
+# with the relation's name on the command line, its instance text format,
+# and f's default policy (None for tiling_f, which takes none)
+OneWayFunction = namedtuple("OneWayFunction", "backend f parse serialize "
+                            "closure budget from_text to_text policy")
+
+
+def functions():
+    """The three one-way functions by name.  Built per call from module
+    attributes, so owfbench's layer tracer, which rebinds them, sees
+    every call."""
+    return {
+        "staf": OneWayFunction(
+            "semithue", semithue.staf, semithue.parse_instance,
+            semithue.serialize_instance, semithue.det_closure,
+            semithue.staf_budget, semithue.instance_from_text,
+            semithue.instance_to_text, semithue.LOOKAHEAD8),
+        "ptf": OneWayFunction(
+            "pcp", pcp.ptf, pcp.parse_instance, pcp.serialize_instance,
+            pcp.pcp_det_closure, pcp.ptf_budget, pcp.pairs_from_text,
+            pcp.pairs_to_text, pcp.PAPER_POLICY),
+        "tiling": OneWayFunction(
+            "tiling", tiling.tiling_f, tiling.parse_tiling_instance,
+            tiling.serialize_tiling_instance, tiling.tiling_closure,
+            tiling.tiling_budget, tiling.tileset_from_text,
+            tiling.tileset_to_text, None),
+    }
 
 
 @dataclass(frozen=True)
@@ -55,31 +86,27 @@ def brute_invert(f_kind: str, target: str,
                  limit: int = 1 << 20, candidates=None):
     """Search for a payload x' with f(serialize(system, x')) = target.
 
-    The target is parsed once.  Each candidate payload of the target's
-    length over its symbols is mapped by f's payload step (any other
-    cannot map to the target), and a match is confirmed by one call of f.
-    candidates is an iterable of payloads, or a function of the target's
-    payload that returns one.  Unparseable targets are identity points
-    (f(target) = target), so their unique preimage is the target itself.
+    f_kind names a function of functions().  The target is parsed once.
+    Each candidate payload of the target's length over its symbols is
+    mapped by the payload step (any other cannot map to the target), and
+    a match is confirmed by one call of f.  candidates is an iterable of
+    payloads, or a function of the target's payload that returns one.
+    Unparseable targets are identity points (f(target) = target), so
+    their unique preimage is the target itself.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    # built per call: the layer tracer rebinds these module attributes
-    kinds = {"staf": (parse_instance, staf_close, serialize_instance, staf),
-             "ptf": (parse_instance, ptf_close, serialize_instance, ptf),
-             "tiling": (parse_tiling_instance, tiling_close,
-                        serialize_tiling_instance, tiling_f)}
-    if f_kind not in kinds:
+    fn = functions().get(f_kind)
+    if fn is None:
         raise ValueError(f"unknown function kind {f_kind!r}")
-    parse, close, serialize, f = kinds[f_kind]
-    policy = policy or {"staf": LOOKAHEAD8, "ptf": PAPER_POLICY}.get(f_kind)
+    policy = policy or fn.policy
     try:
-        sys, x = parse(target)
+        sys, x = fn.parse(target)
     except ValueError:  # InstanceParseError, TilingError
         return Found(target, 0)
     # a payload is a bit string, or a tiling row as a list of symbol ids
-    symbols, payload = ((sys.symbols, list) if f_kind == "tiling"
-                        else ("01", "".join))
+    symbols, payload = (("01", "".join) if isinstance(x, str)
+                        else (sys.symbols, list))
     if candidates is None:
         candidates = map(payload, itertools.product(symbols, repeat=len(x)))
     elif callable(candidates):
@@ -93,10 +120,10 @@ def brute_invert(f_kind: str, target: str,
         if len(cand) != len(x) or not alphabet.issuperset(cand):
             continue
         cand = payload(cand)
-        y = close(sys, cand, policy)
+        y = payload_step(sys, cand, fn.closure, fn.budget, policy)
         if (cand if y is None else y) == x:
-            w = serialize(sys, cand)
-            if (f(w) if f_kind == "tiling" else f(w, policy)) == target:
+            w = fn.serialize(sys, cand)
+            if fn.f(w, policy) == target:
                 return Found(w, attempts)
     return NotFound(attempts)
 

@@ -29,7 +29,6 @@ from .semithue import (
     one_way,
     parse_instance,
     serialize_instance,
-    string_close,
     to_text,
 )
 from .stcompile import CompileError, NOT_FINAL
@@ -93,14 +92,10 @@ def ptf_budget(n: int) -> int:
     return n ** 4
 
 
-def ptf_close(g: RewriteSystem, x: str, policy=PAPER_POLICY):
-    """The payload ptf maps x to under g, or None (the identity)."""
-    return string_close(pcp_det_closure, ptf_budget, g, x, policy)
-
-
 def ptf(w: str, policy: DeterminismPolicy = PAPER_POLICY) -> str:
     """The bounded-PCP one-way function; total and length-preserving."""
-    return one_way(w, parse_instance, ptf_close, serialize_instance, policy)
+    return one_way(w, parse_instance, pcp_det_closure, ptf_budget,
+                   serialize_instance, policy)
 
 
 serialize_pcp_instance = serialize_instance

@@ -104,9 +104,10 @@ class TraceStep:
 @dataclass(frozen=True)
 class ClosureOutcome:
     terminal: bool
-    result: str
+    result: str  # a row of symbols for tiling.tiling_closure
     steps: int
-    reason: str = ""  # Ambiguous | BudgetExceeded | BranchOverflow
+    reason: str = ""  # Ambiguous | BudgetExceeded | BranchOverflow, or
+                      # for tiling Stalled | AmbiguousRow
     trace: tuple = ()
 
 
@@ -208,22 +209,23 @@ def parse_instance(bits: str, cls=RewriteSystem):
     return cls(tuple(zip(rules[0::2], rules[1::2]))), payload
 
 
-def one_way(w: str, parse, close, serialize, policy):
-    """The body of staf, ptf and tiling_f: (system, x) = parse(w) maps to
-    serialize(system, close(system, x, policy)), and to w itself where w
-    does not parse or close returns None.  The callers pass their module
-    attributes on every call, so owfbench's layer tracer sees them."""
+def one_way(w: str, parse, closure, budget, serialize, policy):
+    """The body of staf, ptf and tiling_f: w = serialize(system, x) maps
+    to serialize(system, payload_step(system, x, ...)), and to w itself
+    where w does not parse or the payload step returns None.  The callers
+    pass their module attributes, so owfbench's layer tracer sees them."""
     try:
         sys, x = parse(w)
     except ValueError:  # InstanceParseError, TilingError
         return w
-    y = close(sys, x, policy)
+    y = payload_step(sys, x, closure, budget, policy)
     return w if y is None else serialize(sys, y)
 
 
-def string_close(closure, budget, sys, x: str, policy: DeterminismPolicy):
-    """The payload step of staf and ptf: the closure of x within
-    budget(|x|) steps if it is terminal and as long as x, else None."""
+def payload_step(sys, x, closure, budget, policy):
+    """The payload a one-way function maps x to under a fixed system: the
+    closure of x within budget(|x|) steps if it is terminal and as long as
+    x, else None (the function is the identity there)."""
     out = closure(sys, x, budget(len(x)), policy, want_trace=False)
     return out.result if out.terminal and len(out.result) == len(x) else None
 
@@ -232,14 +234,10 @@ def staf_budget(n: int) -> int:
     return n * n + 4 * n + 2
 
 
-def staf_close(sys: RewriteSystem, x: str, policy=LOOKAHEAD8):
-    """The payload staf maps x to under sys, or None (the identity)."""
-    return string_close(det_closure, staf_budget, sys, x, policy)
-
-
 def staf(w: str, policy: DeterminismPolicy = LOOKAHEAD8) -> str:
     """The semi-Thue accessibility function; total and length-preserving."""
-    return one_way(w, parse_instance, staf_close, serialize_instance, policy)
+    return one_way(w, parse_instance, det_closure, staf_budget,
+                   serialize_instance, policy)
 
 
 # --- text format and traces ----------------------------------------------

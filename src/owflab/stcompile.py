@@ -29,7 +29,7 @@ from .coding import (
     build_code_table,
     encode,
 )
-from .machine import BLANK, LEFT, Machine, RIGHT, TAPE_SYMBOLS
+from .machine import BLANK, Machine, RIGHT, TAPE_SYMBOLS
 from .semithue import RewriteSystem
 
 MARKER = "$"

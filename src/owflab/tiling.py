@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .bitcodes import gamma_decode, gamma_encode, is_bits
 from .machine import BLANK, Machine, RIGHT, TAPE_SYMBOLS
-from .semithue import one_way
+from .semithue import ClosureOutcome, one_way
 
 EMPTY = "."  # the blank edge symbol; an ordinary symbol, not a wildcard
 LEFT_BORDER = "$"
@@ -266,19 +266,29 @@ def parse_tiling_instance(bits: str):
     return TileSet(tuple(range(s_count)), tuple(tiles)), row
 
 
-def tiling_close(ts: TileSet, row, policy=None):
-    """The top row tiling_f maps (ts, row) to, or None where tiling_f is
-    the identity.  policy is unused: every row is solved exactly."""
-    if not row:
-        return None
-    out = tile_closure(ts, row, height=len(row))
-    return list(out.top) if isinstance(out, Completed) else None
+def tiling_closure(ts: TileSet, row, height: int, policy=None,
+                   want_trace: bool = False) -> ClosureOutcome:
+    """tile_closure as a ClosureOutcome, like det_closure: a completed
+    square is terminal with its top row as the result (rows past a fixed
+    point repeat it, so all height − 1 steps count as taken); a Stalled or
+    AmbiguousRow square keeps the bottom row, with that reason and the row
+    where it stopped as steps.  policy and want_trace are unused: every
+    row is solved exactly, and there is no trace."""
+    out = tile_closure(ts, row, height)
+    if isinstance(out, Completed):
+        return ClosureOutcome(True, list(out.top), height - 1)
+    return ClosureOutcome(False, row, out.row, reason=type(out).__name__)
 
 
-def tiling_f(w: str) -> str:
+def tiling_budget(n: int) -> int:
+    """Square height for a bottom row of width n (at least one row)."""
+    return max(1, n)
+
+
+def tiling_f(w: str, policy=None) -> str:
     """The tiling one-way function; total and length-preserving."""
-    return one_way(w, parse_tiling_instance, tiling_close,
-                   serialize_tiling_instance, None)
+    return one_way(w, parse_tiling_instance, tiling_closure, tiling_budget,
+                   serialize_tiling_instance, policy)
 
 
 # --- text format ----------------------------------------------------------

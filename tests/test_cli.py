@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from owflab.cli import main
+from owflab.machine import LIBRARY_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +187,17 @@ def test_eval_truncated_tiling_is_identity(tmp_path, capsys):
                    "identity\n" + text)
 
 
+def test_eval_tiling_identity_note(tmp_path, capsys):
+    # no tile has south edge b: the square stalls at its first row
+    inst = tmp_path / "t.til"
+    text = "TIL v1\nsymbols: 2\na\nb\ntiles: 1\na a a a\nrow: b b\n"
+    inst.write_text(text)
+    code, out, err = run_cli(capsys, "eval", "--backend", "tiling",
+                             "--instance", str(inst))
+    assert code == 0 and out == text
+    assert err == "note: Stalled at step 1; identity\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--trace", "{dir}/t.jsonl"),
                                          ("--semantics", "strict")],
                          ids=["trace", "semantics"])
@@ -227,11 +239,39 @@ def test_verify_determinism_suite(capsys):
     assert "EXPECTED-FAIL" in out and "PASS" in out
 
 
-def test_verify_lemma_suite(capsys):
+@pytest.mark.parametrize("machine", LIBRARY_NAMES)
+def test_verify_lemma_suite(capsys, machine):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma",
+                           "--machine", machine, "--n-max", "4")
+    assert code == 0
+    # semithue and pcp at n = 1..4, tiling at n = 2..4
+    assert out == "".join(
+        f"PASS  {backend} {machine} n={n}\n" for n in range(1, 5)
+        for backend in ("semithue", "pcp", "tiling")
+        if backend != "tiling" or n >= 2)
+
+
+def test_verify_lemma_checks_undecomposable_inputs(capsys, monkeypatch):
+    # an input with no block decomposition has no semithue payload, but
+    # pcp and tiling still check it: a pcp decoder that is wrong on
+    # exactly those inputs must fail its rows (under id, M(x) = x)
+    from owflab import cli
+    from owflab.coding import UNDECOMPOSABLE, block_decompose
+    decode = cli.pcp_decode_output
+
+    def wrong_when_undecomposable(comp, w):
+        y = decode(comp, w)
+        if isinstance(y, str) and block_decompose(y) == UNDECOMPOSABLE:
+            return y + "1"
+        return y
+
+    monkeypatch.setattr(cli, "pcp_decode_output", wrong_when_undecomposable)
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma",
                            "--machine", "id", "--n-max", "2")
-    assert code == 0
-    assert out.count("PASS") >= 5 and "FAIL " not in out
+    assert code == 1
+    assert out == ("PASS  semithue id n=1\nFAIL  pcp id n=1\n"
+                   "PASS  semithue id n=2\nFAIL  pcp id n=2\n"
+                   "PASS  tiling id n=2\n")
 
 
 def test_sample_reproducible(capsys):
