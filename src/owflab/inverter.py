@@ -2,8 +2,10 @@
 functions, and the forward/inverse cost experiment.
 
 functions() lists staf, ptf and tiling_f with the parts each is made of
-(parse, closure, step budget, serialize, text format, default policy);
-brute_invert, `owflab eval` and `owflab verify --suite lemma` read it.
+(parse, closure, step budget, serialize, text format, default policy,
+machine compiler); brute_invert, `owflab eval` and lemma() read it.
+lemma() checks that each compiled system computes its machine; `owflab
+verify --suite lemma` and the acceptance tests read it.
 brute_invert parses a target instance once and enumerates candidate
 payloads under its system, which the functions never alter.  Each
 candidate goes through the payload step (semithue.payload_step) and is
@@ -23,8 +25,10 @@ import random
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
-from . import pcp, semithue, tiling
+from . import pcp, semithue, stcompile, tiling
+from .machine import run, step_bound
 from .semithue import (
     DeterminismPolicy,
     LOOKAHEAD8,
@@ -38,9 +42,30 @@ from .stcompile import MARKER, compile_semithue
 
 # f(w) = semithue.one_way(w, parse, closure, budget, serialize, policy),
 # with the relation's name on the command line, its instance text format,
-# and f's default policy (None for tiling_f, which takes none)
+# f's default policy (None for tiling_f, which takes none), and
+# compile(m, n) -> (system, encode, decode) for m's inputs of length n, or
+# None where the relation cannot compute m at n
 OneWayFunction = namedtuple("OneWayFunction", "backend f parse serialize "
-                            "closure budget from_text to_text policy")
+                            "closure budget from_text to_text policy compile")
+
+
+def _staf_compile(m, n):
+    comp = stcompile.compile_semithue(m, n)
+    return (comp.system, partial(stcompile.st_encode_input, comp),
+            partial(stcompile.st_decode_output, comp))
+
+
+def _ptf_compile(m, n):
+    comp = pcp.compile_pcp(m, n)
+    return (comp.pairs, partial(pcp.pcp_encode_input, comp),
+            partial(pcp.pcp_decode_output, comp))
+
+
+def _tiling_compile(m, n):
+    if n < 2:  # a one-column square cannot halt on tape cell 1
+        return None
+    return (tiling.compile_tileset(m), partial(tiling.bottom_row, m),
+            lambda top: tiling.extract_output(top, n))
 
 
 def functions():
@@ -52,17 +77,45 @@ def functions():
             "semithue", semithue.staf, semithue.parse_instance,
             semithue.serialize_instance, semithue.det_closure,
             semithue.staf_budget, semithue.instance_from_text,
-            semithue.instance_to_text, semithue.LOOKAHEAD8),
+            semithue.instance_to_text, semithue.LOOKAHEAD8, _staf_compile),
         "ptf": OneWayFunction(
             "pcp", pcp.ptf, pcp.parse_instance, pcp.serialize_instance,
             pcp.pcp_det_closure, pcp.ptf_budget, pcp.pairs_from_text,
-            pcp.pairs_to_text, pcp.PAPER_POLICY),
+            pcp.pairs_to_text, pcp.PAPER_POLICY, _ptf_compile),
         "tiling": OneWayFunction(
             "tiling", tiling.tiling_f, tiling.parse_tiling_instance,
             tiling.serialize_tiling_instance, tiling.tiling_closure,
             tiling.tiling_budget, tiling.tileset_from_text,
-            tiling.tileset_to_text, None),
+            tiling.tileset_to_text, None, _tiling_compile),
     }
+
+
+def lemma(m, n: int):
+    """The simulation lemma on machine m's inputs of length n: for each
+    function that can compute m at n and each input x it can encode (staf
+    skips the x with no block decomposition), yields (function, x, closure
+    outcome, decoded output, M(x)).  Each closure runs within the
+    function's budget under its default policy, trace on.  The lemma holds
+    for x when the outcome is terminal and the outputs are equal (the
+    decoded output is None unless it is terminal, and M(x) is None unless
+    m halts within step_bound(n))."""
+    inputs = [format(k, f"0{n}b") for k in range(1 << n)]
+    wants = [getattr(run(m, x, step_bound(n)), "output", None)
+             for x in inputs]
+    for fn in functions().values():
+        compiled = fn.compile(m, n)
+        if compiled is None:
+            continue
+        system, encode, decode = compiled
+        for x, want in zip(inputs, wants):
+            try:
+                w = encode(x)
+            except ValueError:  # CompileError: no block decomposition
+                continue
+            out = fn.closure(system, w, fn.budget(len(w)), fn.policy,
+                             want_trace=True)
+            got = decode(out.result) if out.terminal else None
+            yield fn, x, out, got, want
 
 
 @dataclass(frozen=True)

@@ -9,24 +9,17 @@ import time
 
 import pytest
 
-from owflab.coding import (
-    UNDECOMPOSABLE,
-    block_decompose,
-    build_code_table,
-    verify_properties,
-)
+from owflab.coding import block_decompose, build_code_table, verify_properties
 from owflab.inverter import (
     Found,
     invert_staf_target,
+    lemma,
     staf_payload,
     staf_target,
 )
-from owflab.machine import Halted, library_machine, run, step_bound
+from owflab.machine import LIBRARY_NAMES, library_machine, run, step_bound
 from owflab.pcp import (
-    PAPER_POLICY,
     compile_pcp,
-    pcp_decode_output,
-    pcp_det_closure,
     pcp_encode_input,
     ptf_budget,
     yield_successors,
@@ -51,7 +44,7 @@ from owflab.semithue import (
 )
 from owflab.stcompile import (
     compile_semithue,
-    st_decode_output,
+    expected_schema_counts,
     st_encode_input,
 )
 from owflab.pcp import ptf
@@ -62,7 +55,6 @@ from owflab.tiling import (
     TileSet,
     bottom_row,
     compile_tileset,
-    extract_output,
     serialize_tiling_instance,
     tile_closure,
     tiling_f,
@@ -74,108 +66,66 @@ def verdict(n, ok, detail):
     assert ok, detail
 
 
-def decomposable_inputs(max_len):
-    for n in range(1, max_len + 1):
-        for k in range(1 << n):
-            x = format(k, f"0{n}b")
-            if block_decompose(x) != UNDECOMPOSABLE:
-                yield x
-
-
 @pytest.fixture(scope="module")
-def semithue_suite():
-    """Shared run over {id, not, rot-pair} x all decomposable |x| <= 6."""
+def lemma_suite():
+    """One run of inverter.lemma over the library machines at n <= 6:
+    per case (machine name, function, x, outcome, decoded output, M(x))."""
     t0 = time.perf_counter()
-    cases = []
-    for name in ("id", "not", "rot-pair"):
-        m = library_machine(name)
-        comps = {n: compile_semithue(m, n) for n in range(1, 7)}
-        for x in decomposable_inputs(6):
-            comp = comps[len(x)]
-            ref = run(m, x, step_bound(len(x)))
-            assert isinstance(ref, Halted)
-            w = st_encode_input(comp, x)
-            out = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8)
-            cases.append((name, x, comp, ref, w, out))
+    cases = [(name, fn, x, out, got, want)
+             for name in LIBRARY_NAMES for n in range(1, 7)
+             for fn, x, out, got, want in lemma(library_machine(name), n)]
     return cases, time.perf_counter() - t0
 
 
-def test_acceptance_1_semithue_lemma(semithue_suite):
-    cases, elapsed = semithue_suite
-    bad = []
-    for name, x, comp, ref, w, out in cases:
-        if not out.terminal or st_decode_output(comp, out.result) != ref.output:
-            bad.append((name, x))
-    ok = not bad and elapsed < 60.0
-    verdict(1, ok,
-            f"semi-Thue lemma on {len(cases)} cases, "
-            f"{len(bad)} mismatches, {elapsed:.1f}s (< 60s)")
+def lemma_verdict(number, lemma_suite, backend, limit, detail):
+    cases, elapsed = lemma_suite
+    mine = [c for c in cases if c[1].backend == backend]
+    bad = [(name, x) for name, _, x, out, got, want in mine
+           if not (out.terminal and got == want)]
+    ok = bool(mine) and not bad and elapsed < limit
+    verdict(number, ok, f"{detail} on {len(mine)} cases, {len(bad)} "
+                        f"mismatches, {elapsed:.1f}s (< {limit:.0f}s)")
 
 
-def test_acceptance_2_step_budgets(semithue_suite):
-    cases, _ = semithue_suite
+def test_acceptance_1_semithue_lemma(lemma_suite):
+    lemma_verdict(1, lemma_suite, "semithue", 60.0, "semi-Thue lemma")
+
+
+def test_acceptance_2_step_budgets(lemma_suite):
+    cases, _ = lemma_suite
+    machines = {name: library_machine(name) for name in LIBRARY_NAMES}
     bad = []
-    for name, x, comp, ref, w, out in cases:
-        T = ref.steps
-        bound = T + 2 * len(x) + 2 * len(ref.output) + 2 + T
-        r1_steps = sum(1 for t in out.trace if t.rule < comp.r1_count)
+    total = 0
+    for name, fn, x, out, got, want in cases:
+        if fn.backend != "semithue":
+            continue
+        total += 1
+        m = machines[name]
+        shuttle = expected_schema_counts(m)[0]
+        T = run(m, x, step_bound(len(x))).steps
+        bound = T + 2 * len(x) + 2 * len(want) + 2 + T
+        r1_steps = sum(1 for t in out.trace if t.rule < shuttle)
         blocks = len(block_decompose(x))
-        if not (out.steps <= bound and out.steps <= staf_budget(len(w))
+        # a terminal result is as long as the payload it started from
+        if not (out.steps <= bound
+                and out.steps <= staf_budget(len(out.result))
                 and r1_steps == 2 * blocks + 1):
             bad.append((name, x, out.steps, bound, r1_steps))
-    verdict(2, not bad,
+    verdict(2, total > 0 and not bad,
             f"step budgets (<= 2T+2|x|+2|y|+2 and <= N^2+4N+2) and "
-            f"shuttle phase = 2*blocks+1 on {len(cases)} cases, "
+            f"shuttle phase = 2*blocks+1 on {total} cases, "
             f"{len(bad)} violations")
 
 
-def test_acceptance_3_tiling_lemma():
-    t0 = time.perf_counter()
-    bad = []
-    total = 0
+def test_acceptance_3_tiling_lemma(lemma_suite):
     # n = 1 squares are structurally too small to host the halt cell, so
-    # the suite covers n = 2..5 (the function falls back to identity there)
-    for name in ("id", "not"):
-        m = library_machine(name)
-        ts = compile_tileset(m)
-        for n in range(2, 6):
-            for k in range(1 << n):
-                x = format(k, f"0{n}b")
-                ref = run(m, x, step_bound(n))
-                out = tile_closure(ts, bottom_row(m, x), n * n + 2)
-                total += 1
-                if not (isinstance(out, Completed)
-                        and extract_output(out.top, n) == ref.output):
-                    bad.append((name, x))
-    elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed < 60.0
-    verdict(3, ok, f"tiling lemma on {total} cases (n=2..5), "
-                   f"{len(bad)} mismatches, {elapsed:.1f}s (< 60s)")
+    # the tiling cases cover n = 2..6
+    lemma_verdict(3, lemma_suite, "tiling", 60.0, "tiling lemma (n=2..6)")
 
 
-def test_acceptance_4_pcp_lemma():
-    t0 = time.perf_counter()
-    bad = []
-    total = 0
-    for name in ("id", "not"):
-        m = library_machine(name)
-        for n in range(1, 6):
-            comp = compile_pcp(m, n)
-            for k in range(1 << n):
-                x = format(k, f"0{n}b")
-                ref = run(m, x, step_bound(n))
-                w = pcp_encode_input(comp, x)
-                out = pcp_det_closure(comp.pairs, w, ptf_budget(len(w)),
-                                      PAPER_POLICY, want_trace=False)
-                total += 1
-                if not (out.terminal
-                        and pcp_decode_output(comp, out.result) == ref.output):
-                    bad.append((name, x))
-    elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed < 120.0
-    verdict(4, ok, f"pcp lemma (cap 2, lookahead 1, budget |w|^4) on "
-                   f"{total} cases, {len(bad)} mismatches, "
-                   f"{elapsed:.1f}s (< 120s)")
+def test_acceptance_4_pcp_lemma(lemma_suite):
+    lemma_verdict(4, lemma_suite, "pcp", 120.0,
+                  "pcp lemma (cap 2, lookahead 1, budget |w|^4)")
 
 
 def test_acceptance_5_coding_properties():
@@ -262,12 +212,16 @@ def test_acceptance_6_function_laws():
 
 
 def test_acceptance_7_determinism_regressions():
-    # (a) strict fails on a planted zero-run-3 semi-Thue instance
+    # (a) strict fails on a planted zero-run-3 semi-Thue instance: its
+    # first step is ambiguous, and lookahead(8) reaches a terminal string
     m = library_machine("id")
     comp = compile_semithue(m, 5)
     w = st_encode_input(comp, "10001")
     inst = serialize_instance(comp.system, w)
-    a = staf(inst, STRICT) == inst and staf(inst, LOOKAHEAD8) != inst
+    strict = det_closure(comp.system, w, staf_budget(len(w)), STRICT)
+    look = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8)
+    a = (strict.reason == "Ambiguous" and look.terminal
+         and staf(inst, STRICT) == inst and staf(inst, LOOKAHEAD8) != inst)
     # (b) a pending left move gives exactly 2 successors; the rotation
     # branch sticks in one step
     m = library_machine("not")

@@ -48,6 +48,25 @@ def test_unknown_machine_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "invert --n 0",
+    "compile --backend semithue --machine not --n 0 --out {dir}/d",
+    "experiment --n 0",
+    "experiment --n x",
+    "sample --kind sts --max-len 0",
+    "sample --kind int --max-int 0",
+    "invert --n 4 --limit 0",
+    "verify --suite lemma --n-max 0",  # would check nothing and pass
+])
+def test_nonpositive_numbers_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv.format(dir=tmp_path).split())
+    _, err = capsys.readouterr()
+    assert e.value.code == 2
+    assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_unknown_backend_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["compile", "--backend", "magic", "--machine", "id",
@@ -239,6 +258,13 @@ def test_verify_determinism_suite(capsys):
     assert "EXPECTED-FAIL" in out and "PASS" in out
 
 
+def test_verify_coding_suite(capsys):
+    # a random payload with no block decomposition is not a fault of the
+    # codes, so it does not fail property 4's row (blocks vs codes)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "coding")
+    assert code == 0 and "FAIL" not in out
+
+
 @pytest.mark.parametrize("machine", LIBRARY_NAMES)
 def test_verify_lemma_suite(capsys, machine):
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma",
@@ -255,9 +281,9 @@ def test_verify_lemma_checks_undecomposable_inputs(capsys, monkeypatch):
     # an input with no block decomposition has no semithue payload, but
     # pcp and tiling still check it: a pcp decoder that is wrong on
     # exactly those inputs must fail its rows (under id, M(x) = x)
-    from owflab import cli
+    from owflab import pcp
     from owflab.coding import UNDECOMPOSABLE, block_decompose
-    decode = cli.pcp_decode_output
+    decode = pcp.pcp_decode_output
 
     def wrong_when_undecomposable(comp, w):
         y = decode(comp, w)
@@ -265,7 +291,7 @@ def test_verify_lemma_checks_undecomposable_inputs(capsys, monkeypatch):
             return y + "1"
         return y
 
-    monkeypatch.setattr(cli, "pcp_decode_output", wrong_when_undecomposable)
+    monkeypatch.setattr(pcp, "pcp_decode_output", wrong_when_undecomposable)
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma",
                            "--machine", "id", "--n-max", "2")
     assert code == 1

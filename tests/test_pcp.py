@@ -1,6 +1,7 @@
 import pytest
 
-from owflab.machine import BLANK, Halted, library_machine, run, step_bound
+from owflab.inverter import lemma
+from owflab.machine import BLANK, LIBRARY_NAMES, library_machine
 from owflab.pcp import (
     PAPER_POLICY,
     PairList,
@@ -91,20 +92,15 @@ def test_compile_pair_counts():
         assert len(comp.pairs.pairs) == rot + trans
 
 
-@pytest.mark.parametrize("name", ["id", "not", "rot-pair", "parity-mark"])
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
 def test_pcp_simulation_small(name):
+    # inverter.lemma's ptf cases: every input, and each closure decodes
+    # to M(x)
     m = library_machine(name)
-    for n in range(1, 5):
-        comp = compile_pcp(m, n)
-        for k in range(1 << n):
-            x = format(k, f"0{n}b")
-            ref = run(m, x, step_bound(n))
-            assert isinstance(ref, Halted)
-            w = pcp_encode_input(comp, x)
-            out = pcp_det_closure(comp.pairs, w, ptf_budget(len(w)),
-                                  PAPER_POLICY, want_trace=False)
-            assert out.terminal, (name, x, out.reason)
-            assert pcp_decode_output(comp, out.result) == ref.output, (name, x)
+    cases = [(x, out.terminal and got == want) for n in range(1, 5)
+             for fn, x, out, got, want in lemma(m, n) if fn.backend == "pcp"]
+    assert cases == [(format(k, f"0{n}b"), True) for n in range(1, 5)
+                     for k in range(1 << n)]
 
 
 def test_left_move_has_two_successors_and_dead_rotation():

@@ -1,7 +1,8 @@
 import pytest
 
-from owflab.machine import Halted, library_machine, run, step_bound
-from owflab.semithue import LOOKAHEAD8, STRICT, det_closure, staf_budget
+from owflab.inverter import lemma
+from owflab.machine import LIBRARY_NAMES, library_machine
+from owflab.semithue import LOOKAHEAD8, det_closure, staf_budget
 from owflab.stcompile import (
     CompileError,
     NOT_FINAL,
@@ -75,30 +76,15 @@ def test_salt_seed_changes_codes_not_behavior():
         assert st_decode_output(comp, out.result) == "0010"
 
 
-@pytest.mark.parametrize("name", ["id", "not", "rot-pair", "parity-mark"])
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
 def test_simulation_small(name):
+    # inverter.lemma's staf cases: every decomposable input, and each
+    # closure decodes to M(x)
     m = library_machine(name)
-    for x in decomposable_inputs(4):
-        comp = compile_semithue(m, len(x))
-        ref = run(m, x, step_bound(len(x)))
-        assert isinstance(ref, Halted)
-        w = st_encode_input(comp, x)
-        out = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
-                          want_trace=False)
-        assert out.terminal, (name, x, out.reason)
-        assert st_decode_output(comp, out.result) == ref.output, (name, x)
-
-
-def test_strict_fails_on_block_ambiguity():
-    m = library_machine("id")
-    comp = compile_semithue(m, 5)
-    w = st_encode_input(comp, "10001")
-    strict = det_closure(comp.system, w, staf_budget(len(w)), STRICT,
-                         want_trace=False)
-    assert not strict.terminal and strict.reason == "Ambiguous"
-    look = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
-                       want_trace=False)
-    assert look.terminal
+    cases = [(x, out.terminal and got == want) for n in range(1, 5)
+             for fn, x, out, got, want in lemma(m, n)
+             if fn.backend == "semithue"]
+    assert cases == [(x, True) for x in decomposable_inputs(4)]
 
 
 def test_internal_name_clash_rejected():

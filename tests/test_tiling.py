@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owflab import tiling
-from owflab.machine import Halted, library_machine, run, step_bound
+from owflab.inverter import lemma
+from owflab.machine import LIBRARY_NAMES, library_machine, run, step_bound
 from owflab.tiling import (
     AmbiguousRow,
     Completed,
@@ -76,18 +77,16 @@ def test_next_rows_matches_brute_force():
             ts, souths)
 
 
-@pytest.mark.parametrize("name", ["id", "not", "rot-pair", "parity-mark"])
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
 def test_tiling_simulation(name):
+    # inverter.lemma's tiling_f cases: every input of length 2 or more
+    # (n = 1 has no square), and each top row decodes to M(x)
     m = library_machine(name)
-    ts = compile_tileset(m)
-    for n in range(2, 5):
-        for k in range(1 << n):
-            x = format(k, f"0{n}b")
-            ref = run(m, x, step_bound(n))
-            assert isinstance(ref, Halted)
-            out = tile_closure(ts, bottom_row(m, x), n * n + 2)
-            assert isinstance(out, Completed), (name, x, out)
-            assert extract_output(out.top, n) == ref.output, (name, x)
+    cases = [(x, out.terminal and got == want) for n in range(1, 5)
+             for fn, x, out, got, want in lemma(m, n)
+             if fn.backend == "tiling"]
+    assert cases == [(format(k, f"0{n}b"), True) for n in range(2, 5)
+                     for k in range(1 << n)]
 
 
 def test_single_cell_square_stalls():
