@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="draw from the default distributions")
     s.add_argument("--kind", required=True,
                    choices=["int", "string", "sts", "pcp"])
-    s.add_argument("--count", type=int, default=1)
+    s.add_argument("--count", type=_positive_int, default=1)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-int", type=_positive_int, default=1 << 16)
     s.add_argument("--max-len", type=_positive_int, default=64)
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--targets", type=_positive_int, default=5)
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--limit", type=_positive_int, default=1 << 22)
-    x.add_argument("--jobs", type=int, default=1)
+    x.add_argument("--jobs", type=_positive_int, default=1)
     x.add_argument("--out")
     x.set_defaults(fn=_cmd_experiment)
     return p

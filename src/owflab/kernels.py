@@ -32,6 +32,12 @@ lookahead derives a node's list when it expands the node.  A full scan
 (st_find_matches) is left for a closure's first string and for the
 successors of a string whose list is too dense to carry.
 
+A pair list is indexed once per closure by the lengths of its left
+strings (pair_index: {length: {u: [pair index, ...]}}), so the pairs
+that apply to x are found by one slice of x and one lookup per distinct
+length instead of a prefix test per pair; compiled lists have three
+lengths whatever their size.
+
 Kernels call each other through module globals, so a tracer that rebinds
 them sees the inner calls too: each closure step and each full scan.  The
 window scans of a derivation are not calls of st_find_matches; they count
@@ -360,19 +366,55 @@ def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
 
 # --- Post correspondence --------------------------------------------------
 
+class PairIndex(dict):
+    """A pair list's left strings by length: {length: {u: [pair index,
+    ...]}}.  A string x at least as long as u starts with u exactly when
+    x[:|u|] is a key of the table for |u|."""
+
+
+def pair_index(us):
+    """The PairIndex of the left strings us.
+
+    Filled in one loop, with no __init__ of its own: a sampled instance
+    has one or two pairs and a closure of a few steps, so the build is a
+    visible share of its cost.
+    """
+    table = PairIndex()
+    for i, u in enumerate(us):
+        table.setdefault(len(u), {}).setdefault(u, []).append(i)
+    return table
+
+
 def pcp_applications(us, vs, x):
-    """All (pair index, yielded string), one per applicable pair."""
+    """All (pair index, yielded string), one per applicable pair, in pair
+    index order.
+
+    us is a PairIndex, or a sequence of left strings indexed here.  A pair
+    whose u is longer than x applies when x is a prefix of u and v starts
+    with the rest of u; only the lengths above |x| are searched that way.
+    Hits at two lengths are sorted back into index order, on which the
+    choice among equal successors and lookahead ties depends.
+    """
+    table = us if type(us) is PairIndex else pair_index(us)
     out = []
     n = len(x)
-    for i, u in enumerate(us):
-        if n >= len(u):
-            if x.startswith(u):
-                out.append((i, x[len(u):] + vs[i]))
-        elif u.startswith(x):
-            rest = u[n:]
-            v = vs[i]
-            if v.startswith(rest):
-                out.append((i, v[len(rest):]))
+    for k, heads in table.items():
+        if k <= n:
+            members = heads.get(x[:k])
+            if members:
+                tail = x[k:]
+                for i in members:
+                    out.append((i, tail + vs[i]))
+        else:
+            for u, members in heads.items():
+                if u.startswith(x):
+                    rest = u[n:]
+                    for i in members:
+                        v = vs[i]
+                        if v.startswith(rest):
+                            out.append((i, v[len(rest):]))
+    if len(out) > 1:
+        out.sort()
     return out
 
 
@@ -472,7 +514,9 @@ def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap=0):
 
 def pcp_closure(us, vs, x, budget, mode, depth, max_branch, succ_cap=0,
                 want_trace=False, work_limit=0):
-    """Iterate pcp_step while unique; see _close."""
+    """Iterate pcp_step while unique; see _close.  The pair index is built
+    once here and passed to every step in place of us."""
+    us = pair_index(us)
     return _close(
         lambda s: pcp_step(us, vs, s, mode, depth, max_branch, succ_cap),
         x, budget, want_trace, work_limit)

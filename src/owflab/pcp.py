@@ -74,15 +74,16 @@ def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
 
 
 def verify_witness(g: RewriteSystem, x: str, indices) -> bool:
-    """Replay an index sequence as yield steps from x."""
+    """Replay an index sequence as yield steps from x, each through the
+    engine's yield equation for that one pair."""
     for i in indices:
         if not 0 <= i < len(g.rules):
             return False
         u, v = g.rules[i]
-        xv = x + v
-        if len(xv) < len(u) or not xv.startswith(u):
+        step = kernels.pcp_applications([u], [v], x)
+        if not step:
             return False
-        x = xv[len(u):]
+        x = step[0][1]
     return True
 
 

@@ -57,6 +57,8 @@ def test_unknown_machine_is_usage_error(tmp_path, capsys):
     "sample --kind int --max-int 0",
     "invert --n 4 --limit 0",
     "verify --suite lemma --n-max 0",  # would check nothing and pass
+    "sample --kind int --count -3",  # would print nothing and pass
+    "experiment --n 4 --jobs -2",  # would run sequentially
 ])
 def test_nonpositive_numbers_are_usage_errors(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as e:

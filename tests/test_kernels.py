@@ -16,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owflab import kernels
+from owflab.machine import library_machine
+from owflab.pcp import PAPER_POLICY, compile_pcp, pcp_encode_input, ptf_budget
 
 # sha256 of _engine_outputs(), recorded from the engine as it was before
 # its two closure loops were merged into one
@@ -138,11 +140,16 @@ def test_st_find_matches_equals_sliding_window(system):
        bit_text(0, 8))
 @example([("0110", "10"), ("01", "10")], "01")  # len(x) < len(u)
 @example([("011", "1"), ("0", "")], "01")  # u = x·v, y empty
+@example([], "01")  # no pairs
+@example([("01", "1"), ("1", "0"), ("01", ""), ("01", "1")], "011")  # same u
+@example([("0", "1"), ("01100", "0"), ("0110", "01")], "011")  # |u0| < |x| < |u2|
+@example([("0", "1"), ("01", "0"), ("0", "")], "01")  # hits 0, 2 then 1
 def test_pcp_applications_equal_the_yield_equation(pairs, x):
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
-    assert kernels.pcp_applications(us, vs, x) == \
-        naive_applications(us, vs, x)
+    want = naive_applications(us, vs, x)
+    assert kernels.pcp_applications(us, vs, x) == want
+    assert kernels.pcp_applications(kernels.pair_index(us), vs, x) == want
 
 
 def test_strict_st_step_matches_reference():
@@ -179,6 +186,34 @@ def test_lookahead_step_is_a_reference_step():
         kind, y, _, i, _ = kernels.pcp_step(us, vs, w, 1, 1, 16, 2)
         if kind == kernels.STEP_UNIQUE:
             assert (i, y) in naive_applications(us, vs, w)
+
+
+def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
+    comp = compile_pcp(library_machine("not"), 4)
+    us, vs = comp.pairs.us, comp.pairs.vs
+    x = pcp_encode_input(comp, "1010")
+    args = (x, ptf_budget(len(x)), PAPER_POLICY.mode_id, PAPER_POLICY.depth,
+            PAPER_POLICY.max_branch, PAPER_POLICY.successor_cap)
+    want = kernels.pcp_closure(us, vs, *args)
+
+    built = []
+    calls = []
+    original_index = kernels.pair_index
+    original_apply = kernels.pcp_applications
+
+    def counting_index(us):
+        built.append(len(us))
+        return original_index(us)
+
+    def counting_apply(us, vs, x):
+        calls.append(1)
+        return original_apply(us, vs, x)
+
+    monkeypatch.setattr(kernels, "pair_index", counting_index)
+    monkeypatch.setattr(kernels, "pcp_applications", counting_apply)
+    assert kernels.pcp_closure(us, vs, *args) == want
+    assert want[2] > 10  # steps, each with at least one lookup
+    assert built == [len(us)] and len(calls) > want[2]
 
 
 # --- pinned outputs -------------------------------------------------------

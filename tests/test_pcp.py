@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from owflab.inverter import lemma
@@ -41,6 +43,52 @@ def test_verify_witness_replay():
     assert verify_witness(g, "10", [0, 1, 0])
     assert not verify_witness(g, "10", [1])
     assert not verify_witness(g, "10", [7])
+
+
+def replay_by_equation(g, x, indices):
+    """The reference for verify_witness: the yield equation u·y = x·v,
+    written out for each index."""
+    for i in indices:
+        if not 0 <= i < len(g.rules):
+            return False
+        u, v = g.rules[i]
+        xv = x + v
+        if len(xv) < len(u) or not xv.startswith(u):
+            return False
+        x = xv[len(u):]
+    return True
+
+
+def test_verify_witness_is_the_yield_equation():
+    rng = random.Random(5)
+
+    def bits(lo, hi):
+        return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
+
+    seen = set()
+    for _ in range(2000):
+        g = PairList(tuple((bits(1, 3), bits(0, 3))
+                           for _ in range(rng.randint(1, 4))))
+        x = bits(0, 6)
+        if rng.random() < 0.5:  # a random sequence, out-of-range included
+            indices = [rng.randint(-1, len(g.rules))
+                       for _ in range(rng.randint(0, 5))]
+        else:  # a witness grown one applicable pair at a time
+            indices, y = [], x
+            for _ in range(rng.randint(1, 5)):
+                ok = [i for i in range(len(g.rules))
+                      if replay_by_equation(g, y, [i])]
+                if not ok:
+                    break
+                i = rng.choice(ok)
+                u, v = g.rules[i]
+                indices.append(i)
+                y = (y + v)[len(u):]
+        want = replay_by_equation(g, x, indices)
+        assert verify_witness(g, x, indices) == want, (g.rules, x, indices)
+        seen.add((want, len(indices) > 1))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
 
 
 def test_closure_rotation_cycle_detected():
