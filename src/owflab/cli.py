@@ -76,7 +76,7 @@ def _cmd_compile(args) -> int:
         comp = compile_pcp(m, args.n, args.salt_seed)
         (out / "system.pcp").write_text(pairs_to_text(comp.pairs, ""))
         (out / "codes.json").write_text(table_to_json(comp.table))
-        print(f"pairs: {len(comp.pairs.pairs)} "
+        print(f"pairs: {len(comp.pairs.rules)} "
               f"(rotate {comp.rotate_count}, "
               f"transition {comp.transition_count})")
         print(f"code length: {comp.table.code_len}")
@@ -188,14 +188,13 @@ def _verify_determinism(m: Machine):
 
 
 def _cmd_verify(args) -> int:
-    m = _load_machine(args.machine)
-    name = args.machine
-    if args.suite == "lemma":
-        rows = _verify_lemma(m, name, args.n_max)
-    elif args.suite == "coding":
+    if args.suite == "coding":
         rows = _verify_coding()
+    elif args.suite == "lemma":
+        rows = _verify_lemma(_load_machine(args.machine), args.machine,
+                             args.n_max)
     else:
-        rows = _verify_determinism(m)
+        rows = _verify_determinism(_load_machine(args.machine))
     ok = True
     for label, passed in rows:
         print(f"{'PASS' if passed else 'FAIL'}  {label}")

@@ -1,5 +1,5 @@
-"""Brute-force inversion oracles, the table of the three one-way
-functions, and the forward/inverse cost experiment.
+"""Brute-force inversion, the table of the three one-way functions, and
+the forward/inverse cost experiment.
 
 functions() lists staf, ptf and tiling_f with the parts each is made of
 (parse, closure, step budget, serialize, text format, default policy,
@@ -11,9 +11,11 @@ payloads under its system, which the functions never alter.  Each
 candidate goes through the payload step (semithue.payload_step) and is
 compared with the target's payload; a match is confirmed by one call of
 the function on the whole instance.  The default candidate stream is
-every payload of the target's length in lexicographic order; experiments
-narrow it to the well-formed encodings of a machine's inputs, which
-shrinks the space from 2^N to 2^n without changing soundness.
+every payload of the target's length in lexicographic order;
+invert_staf_target narrows it to the well-formed encodings of a machine's
+inputs, which shrinks the space from 2^N to 2^n without changing
+soundness.  owf_experiment times staf_target against invert_staf_target
+per input length and writes the rows as CSV (`owflab experiment`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .machine import run, step_bound
 from .semithue import (
     DeterminismPolicy,
     LOOKAHEAD8,
-    RewriteSystem,
     payload_step,
     serialize_instance,
     staf,
@@ -179,37 +180,6 @@ def brute_invert(f_kind: str, target: str,
             if fn.f(w, policy) == target:
                 return Found(w, attempts)
     return NotFound(attempts)
-
-
-def backward_search(sys: RewriteSystem, y: str, budget: int,
-                    max_nodes: int = 100_000):
-    """All strings reaching y within `budget` reversed rewrite steps
-    (matching a rule's right side, substituting its left side), capped at
-    max_nodes distinct strings."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    seen = {y}
-    frontier = [y]
-    for _ in range(budget):
-        nxt = []
-        for w in frontier:
-            for g, h in sys.rules:
-                start = 0
-                while True:
-                    p = w.find(h, start)
-                    if p < 0:
-                        break
-                    anc = w[:p] + g + w[p + len(h):]
-                    if anc not in seen:
-                        if len(seen) >= max_nodes:
-                            return seen
-                        seen.add(anc)
-                        nxt.append(anc)
-                    start = p + 1
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
 
 
 # --- machine-targeted inversion helpers -----------------------------------

@@ -39,26 +39,10 @@ PAPER_POLICY = DeterminismPolicy(mode="lookahead", depth=1, successor_cap=2)
 @dataclass(frozen=True)
 class PairList(RewriteSystem):
     """A rewrite-system instance read as pairs (uᵢ, vᵢ): the same rules,
-    bit format and text layout, only the names differ."""
+    bit format and text layout; only its error messages speak of pairs."""
 
     _EMPTY_LHS = "empty pair left string"
     _NOT_BITS = "pair strings must be over {0,1}"
-
-    pairs = property(lambda self: self.rules)
-    us = property(lambda self: self.lhs)
-    vs = property(lambda self: self.rhs)
-
-
-@dataclass(frozen=True)
-class YieldStep:
-    pair_index: int
-    result: str
-
-
-def yield_successors(g: RewriteSystem, x: str):
-    """One YieldStep per applicable pair (duplicates across pairs kept)."""
-    return [YieldStep(i, y)
-            for i, y in kernels.pcp_applications(g.lhs, g.rhs, x)]
 
 
 def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
@@ -99,11 +83,7 @@ def ptf(w: str, policy: DeterminismPolicy = PAPER_POLICY) -> str:
                    serialize_instance, policy)
 
 
-serialize_pcp_instance = serialize_instance
-
-
-def parse_pcp_instance(bits: str):
-    return parse_instance(bits, PairList)
+serialize_pcp_instance = serialize_instance  # the name owfbench calls
 
 
 # --- Turing machine compiler ----------------------------------------------

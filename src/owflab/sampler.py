@@ -119,6 +119,6 @@ def sample_pcp_instance(d: DefaultUniform, rng: random.Random) -> PcpSample:
 def instance_size(sample) -> int:
     """The n + |u| + |v| + Σ(|gᵢ|+|hᵢ|) size measure of a sampled instance."""
     rules = (sample.system.rules if isinstance(sample, StsSample)
-             else sample.pairs.pairs)
+             else sample.pairs.rules)
     return (sample.n + len(sample.payload) + len(sample.target)
             + sum(len(g) + len(h) for g, h in rules))

@@ -58,12 +58,6 @@ class RewriteSystem:
 
 
 @dataclass(frozen=True)
-class Match:
-    rule_index: int
-    position: int
-
-
-@dataclass(frozen=True)
 class DeterminismPolicy:
     mode: str = "lookahead"  # "strict" or "lookahead"
     depth: int = DEFAULT_LOOKAHEAD
@@ -86,14 +80,6 @@ LOOKAHEAD8 = DeterminismPolicy(mode="lookahead", depth=8)
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    kind: str  # unique | stuck | ambiguous | overflow
-    result: str | None = None
-    match: Match | None = None
-    count: int = 0
-
-
-@dataclass(frozen=True)
 class TraceStep:
     step: int
     rule: int
@@ -111,39 +97,11 @@ class ClosureOutcome:
     trace: tuple = ()
 
 
-_KIND = {
-    kernels.STEP_UNIQUE: "unique",
-    kernels.STEP_STUCK: "stuck",
-    kernels.STEP_AMBIGUOUS: "ambiguous",
-    kernels.STEP_OVERFLOW: "overflow",
-}
-
 _REASON = {
     kernels.CLOSE_AMBIGUOUS: "Ambiguous",
     kernels.CLOSE_BUDGET: "BudgetExceeded",
     kernels.CLOSE_OVERFLOW: "BranchOverflow",
 }
-
-
-def find_matches(sys: RewriteSystem, w: str):
-    return [Match(i, p) for p, i in kernels.st_find_matches(sys.index, w)]
-
-
-def apply_match(sys: RewriteSystem, w: str, m: Match) -> str:
-    g, h = sys.rules[m.rule_index]
-    if w[m.position : m.position + len(g)] != g:
-        raise ValueError(f"rule {m.rule_index} does not match at {m.position}")
-    return w[: m.position] + h + w[m.position + len(g):]
-
-
-def det_step(sys: RewriteSystem, w: str, policy: DeterminismPolicy) -> StepOutcome:
-    kind, y, p, i, count = kernels.st_step(
-        sys.index, sys.rhs, w, policy.mode_id, policy.depth, policy.max_branch
-    )
-    name = _KIND[kind]
-    if name == "unique":
-        return StepOutcome("unique", result=y, match=Match(i, p), count=1)
-    return StepOutcome(name, count=count)
 
 
 def det_closure(sys: RewriteSystem, w: str, budget: int,
@@ -180,8 +138,8 @@ def serialize_instance(sys: RewriteSystem, payload: str) -> str:
     return "".join(out)
 
 
-def parse_instance(bits: str, cls=RewriteSystem):
-    """Inverse of serialize_instance: (cls(rules), payload), or raises.
+def parse_instance(bits: str):
+    """Inverse of serialize_instance: (RewriteSystem, payload), or raises.
 
     Each character is checked once: gamma_decode rejects a non-bit code,
     RewriteSystem the rule strings, and the payload is checked here.
@@ -206,7 +164,7 @@ def parse_instance(bits: str, cls=RewriteSystem):
     payload = bits[pos:]
     if not is_bits(payload):
         raise InstanceParseError("payload must be a bit string")
-    return cls(tuple(zip(rules[0::2], rules[1::2]))), payload
+    return RewriteSystem(tuple(zip(rules[0::2], rules[1::2]))), payload
 
 
 def one_way(w: str, parse, closure, budget, serialize, policy):

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from owflab import kernels
 from owflab.coding import block_decompose, build_code_table, verify_properties
 from owflab.inverter import (
     Found,
@@ -22,7 +23,6 @@ from owflab.pcp import (
     compile_pcp,
     pcp_encode_input,
     ptf_budget,
-    yield_successors,
 )
 from owflab.sampler import (
     DefaultUniform,
@@ -227,17 +227,18 @@ def test_acceptance_7_determinism_regressions():
     m = library_machine("not")
     pcomp = compile_pcp(m, 3)
     x = pcp_encode_input(pcomp, "101")
+    us, vs = pcomp.pairs.lhs, pcomp.pairs.rhs
     b = False
     for _ in range(ptf_budget(len(x))):
-        succ = yield_successors(pcomp.pairs, x)
+        succ = kernels.pcp_applications(us, vs, x)
         if len(succ) == 2:
-            dead = [s for s in succ
-                    if not yield_successors(pcomp.pairs, s.result)]
+            dead = [y for _, y in succ
+                    if not kernels.pcp_applications(us, vs, y)]
             b = len(dead) == 1
             break
         if len(succ) != 1:
             break
-        x = succ[0].result
+        x = succ[0][1]
     # (c) unsplit compile of a two-direction machine is ambiguous
     from test_tiling import two_direction_machine
     zz = two_direction_machine()
@@ -301,12 +302,16 @@ def test_acceptance_8_inversion():
     centered = abs(mean - (1 << (n - 1)))
     stats_ok = centered <= 3 * sigma
 
-    # forward 100x faster than inversion at n = 12
+    # forward 100x faster than inversion at n = 12; the forward side is
+    # the median of 5 calls, so one scheduling stall cannot decide it
     comp12 = compile_semithue(m, 12)
     x = format(rng.getrandbits(12), "012b")
-    t0 = time.perf_counter()
-    target = staf_target(comp12, x)
-    fwd = time.perf_counter() - t0
+    fwds = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        target = staf_target(comp12, x)
+        fwds.append(time.perf_counter() - t0)
+    fwd = statistics.median(fwds)
     t0 = time.perf_counter()
     out = invert_staf_target(comp12, target)
     inv = time.perf_counter() - t0

@@ -267,6 +267,21 @@ def test_verify_coding_suite(capsys):
     assert code == 0 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("suite, want", [
+    ("coding", 0), ("lemma", 2), ("determinism", 2)])
+def test_verify_reads_machine_only_for_suites_that_use_it(
+        capsys, monkeypatch, suite, want):
+    from owflab import cli
+    monkeypatch.setattr(cli, "_verify_coding", lambda: [("coding", True)])
+    code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                             "--machine", "does-not-exist")
+    assert code == want
+    if want == 0:
+        assert out == "PASS  coding\n" and not err
+    else:
+        assert "cannot read machine file" in err
+
+
 @pytest.mark.parametrize("machine", LIBRARY_NAMES)
 def test_verify_lemma_suite(capsys, machine):
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma",

@@ -10,7 +10,6 @@ from owflab.inverter import (
     Found,
     LimitExceeded,
     NotFound,
-    backward_search,
     brute_invert,
     invert_staf_target,
     owf_experiment,
@@ -180,20 +179,6 @@ def test_one_inversion_parses_the_target_once(monkeypatch):
     # ptf never indexes its pairs
     assert brute_invert("ptf", pcp_target) == Found(pcp_target, 1)
     assert (len(parses), CountedIndex.built) == (5, 3)
-
-
-def test_backward_search_inverts_steps():
-    sys = RewriteSystem((("0", "1"),))
-    anc = backward_search(sys, "11", 2)
-    assert {"11", "01", "10", "00"} <= anc
-    with pytest.raises(ValueError):
-        backward_search(sys, "1", -1)
-
-
-def test_backward_search_node_cap():
-    sys = RewriteSystem((("0", "1"), ("1", "0")))
-    anc = backward_search(sys, "0" * 12, 12, max_nodes=50)
-    assert len(anc) <= 50
 
 
 def test_staf_target_attempt_rank():

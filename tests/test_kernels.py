@@ -190,7 +190,7 @@ def test_lookahead_step_is_a_reference_step():
 
 def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
     comp = compile_pcp(library_machine("not"), 4)
-    us, vs = comp.pairs.us, comp.pairs.vs
+    us, vs = comp.pairs.lhs, comp.pairs.rhs
     x = pcp_encode_input(comp, "1010")
     args = (x, ptf_budget(len(x)), PAPER_POLICY.mode_id, PAPER_POLICY.depth,
             PAPER_POLICY.max_branch, PAPER_POLICY.successor_cap)

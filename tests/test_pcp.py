@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from owflab import kernels
 from owflab.inverter import lemma
 from owflab.machine import BLANK, LIBRARY_NAMES, library_machine
 from owflab.pcp import (
@@ -11,7 +12,6 @@ from owflab.pcp import (
     expected_pair_counts,
     pairs_from_text,
     pairs_to_text,
-    parse_pcp_instance,
     pcp_decode_output,
     pcp_det_closure,
     pcp_encode_input,
@@ -19,23 +19,22 @@ from owflab.pcp import (
     ptf_budget,
     serialize_pcp_instance,
     verify_witness,
-    yield_successors,
 )
-from owflab.semithue import DeterminismPolicy, InstanceParseError
+from owflab.semithue import (DeterminismPolicy, InstanceParseError,
+                             parse_instance)
 
 
 def test_yield_relation_examples():
     g = PairList((("1", "1"), ("10", "01")))
     # pair 0: 1·y = x·1 -> rotation of a leading 1
-    succ = yield_successors(g, "10")
-    assert {(s.pair_index, s.result) for s in succ} == {(0, "01"), (1, "01")}
-    assert yield_successors(g, "0") == []
+    succ = kernels.pcp_applications(g.lhs, g.rhs, "10")
+    assert set(succ) == {(0, "01"), (1, "01")}
+    assert kernels.pcp_applications(g.lhs, g.rhs, "0") == []
 
 
 def test_yield_shrinking_pair():
     g = PairList((("11", ""),))
-    succ = yield_successors(g, "11")
-    assert [(s.pair_index, s.result) for s in succ] == [(0, "")]
+    assert kernels.pcp_applications(g.lhs, g.rhs, "11") == [(0, "")]
 
 
 def test_verify_witness_replay():
@@ -126,8 +125,8 @@ def test_ptf_budget():
 def test_serialize_parse_round_trip():
     g = PairList((("1", ""), ("10", "01")))
     w = serialize_pcp_instance(g, "110")
-    g2, payload = parse_pcp_instance(w)
-    assert g2 == g and payload == "110"
+    g2, payload = parse_instance(w)
+    assert g2.rules == g.rules and payload == "110"
 
 
 def test_compile_pair_counts():
@@ -137,7 +136,7 @@ def test_compile_pair_counts():
         rot, trans = expected_pair_counts(m)
         assert comp.rotate_count == rot == 3
         assert comp.transition_count == trans
-        assert len(comp.pairs.pairs) == rot + trans
+        assert len(comp.pairs.rules) == rot + trans
 
 
 @pytest.mark.parametrize("name", LIBRARY_NAMES)
@@ -158,17 +157,17 @@ def test_left_move_has_two_successors_and_dead_rotation():
     comp = compile_pcp(m, 3)
     w = pcp_encode_input(comp, "101")
     # drive with the paper policy, checking every intermediate state
+    us, vs = comp.pairs.lhs, comp.pairs.rhs
     x = w
     seen_choice = False
     for _ in range(ptf_budget(len(w))):
-        succ = yield_successors(comp.pairs, x)
+        succ = kernels.pcp_applications(us, vs, x)
         if not succ:
             break
         if len(succ) == 2:
             seen_choice = True
-            dead = [s for s in succ]
             # exactly one of the two branches has a follow-up step
-            alive = [s for s in dead if yield_successors(comp.pairs, s.result)]
+            alive = [y for _, y in succ if kernels.pcp_applications(us, vs, y)]
             assert len(alive) == 1
         out = pcp_det_closure(comp.pairs, x, 1, PAPER_POLICY,
                               want_trace=False)

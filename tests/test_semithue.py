@@ -4,18 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owflab import kernels
 from owflab.semithue import (
     ClosureOutcome,
     DeterminismPolicy,
     InstanceParseError,
     LOOKAHEAD8,
-    Match,
     RewriteSystem,
     STRICT,
-    apply_match,
     det_closure,
-    det_step,
-    find_matches,
     instance_from_text,
     instance_to_text,
     parse_instance,
@@ -26,45 +23,38 @@ from owflab.semithue import (
 )
 
 
-def test_find_matches_sorted_and_complete():
-    sys = RewriteSystem((("01", "1"), ("1", "0")))
-    ms = find_matches(sys, "011")
-    assert [(m.position, m.rule_index) for m in ms] == [(0, 0), (1, 1), (2, 1)]
-
-
-def test_apply_match():
-    sys = RewriteSystem((("01", "1"),))
-    assert apply_match(sys, "001", Match(0, 1)) == "01"
-    with pytest.raises(ValueError):
-        apply_match(sys, "001", Match(0, 0))
+def step(sys, w, policy):
+    """One kernels.st_step under policy: (status, result)."""
+    status, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
+                                         policy.depth, policy.max_branch)
+    return status, y
 
 
 def test_strict_step_kinds():
     sys = RewriteSystem((("01", "1"), ("10", "0")))
-    assert det_step(sys, "11", STRICT).kind == "stuck"
-    out = det_step(sys, "011", STRICT)
-    assert out.kind == "unique" and out.result == "11"
+    assert step(sys, "11", STRICT)[0] == kernels.STEP_STUCK
+    assert step(sys, "011", STRICT) == (kernels.STEP_UNIQUE, "11")
     # two rules match at different positions
-    assert det_step(sys, "0110", STRICT).kind == "ambiguous"
+    assert step(sys, "0110", STRICT)[0] == kernels.STEP_AMBIGUOUS
     # one rule at two positions is already ambiguous in strict mode
-    assert det_step(sys, "0101", STRICT).kind == "ambiguous"
+    assert step(sys, "0101", STRICT)[0] == kernels.STEP_AMBIGUOUS
 
 
 def test_lookahead_prunes_dead_branch():
     # "01" -> "10" is stuck at the reference length; "01" -> "0" can only
     # reach shorter stuck strings, so lookahead discards it.
     sys = RewriteSystem((("01", "10"), ("01", "0")))
-    out = det_step(sys, "01", DeterminismPolicy("lookahead", depth=3))
-    assert out.kind == "unique" and out.result == "10"
+    assert (step(sys, "01", DeterminismPolicy("lookahead", depth=3))
+            == (kernels.STEP_UNIQUE, "10"))
     # strict mode cannot choose
-    assert det_step(sys, "01", STRICT).kind == "ambiguous"
+    assert step(sys, "01", STRICT)[0] == kernels.STEP_AMBIGUOUS
 
 
 def test_lookahead_survivor_requires_reference_length():
     # both branches survive (both reach stuck strings of the start length)
     sys = RewriteSystem((("1", "0"), ("10", "01")))
-    out = det_step(sys, "10", DeterminismPolicy("lookahead", depth=2))
-    assert out.kind == "ambiguous"
+    assert (step(sys, "10", DeterminismPolicy("lookahead", depth=2))[0]
+            == kernels.STEP_AMBIGUOUS)
 
 
 def test_closure_terminal_and_trace():
@@ -179,7 +169,7 @@ def test_rule_sides_are_built_once():
 
 def test_one_call_reads_each_instance_bit_once(monkeypatch):
     from owflab import bitcodes
-    from owflab.pcp import PairList, parse_pcp_instance, ptf
+    from owflab.pcp import PairList, ptf
     original = bitcodes.is_bits
     read = []
 
@@ -196,7 +186,7 @@ def test_one_call_reads_each_instance_bit_once(monkeypatch):
                                            "1000")),
                  (ptf, serialize_instance(PairList((("1", "0"),)), "1")),
                  # a second check of the long pair strings overruns len(w)
-                 (parse_pcp_instance, serialize_instance(long_pair, "1"))]:
+                 (parse_instance, serialize_instance(long_pair, "1"))]:
         read.clear()
         assert f(w) != w
         assert 0 < sum(read) <= len(w), f.__name__
@@ -207,14 +197,12 @@ def test_one_call_reads_each_instance_bit_once(monkeypatch):
                           st.text("01", max_size=6)), max_size=5),
        st.text("01", max_size=12), st.sampled_from("2_+- \n"), st.data())
 def test_non_bit_character_anywhere_is_rejected(rules, payload, ch, data):
-    from owflab.pcp import parse_pcp_instance, ptf
+    from owflab.pcp import ptf
     w = serialize_instance(RewriteSystem(tuple(rules)), payload)
     k = data.draw(st.integers(0, len(w)))
     bad = w[:k] + ch + w[k:]
     with pytest.raises(InstanceParseError):
         parse_instance(bad)
-    with pytest.raises(InstanceParseError):
-        parse_pcp_instance(bad)
     assert staf(bad) == bad and ptf(bad) == bad
 
 
