@@ -3,7 +3,7 @@ experiment.
 
 Exit codes: 0 success (identity outputs included — the functions are
 total, so identity is a value, not an error), 1 verification failure,
-2 usage or input parse error.
+2 usage or input parse error, or a machine the compilers reject.
 """
 
 from __future__ import annotations
@@ -12,21 +12,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import inverter, sampler
-from .coding import verify_properties
+from . import coding, inverter, sampler
 from .machine import LIBRARY_NAMES, Machine, library_machine, parse_machine
 from .pcp import PAPER_POLICY, compile_pcp, pairs_to_text
 from .semithue import (
     DeterminismPolicy,
-    LOOKAHEAD8,
     STRICT,
-    det_closure,
     instance_to_text,
-    staf_budget,
     trace_to_jsonl,
 )
-from .stcompile import compile_semithue, st_encode_input
-from .coding import table_to_json
+from .stcompile import CompileError, compile_semithue
 from .tiling import compile_tileset, tileset_to_text
 
 
@@ -62,28 +57,31 @@ def _parse_semantics(text: str) -> DeterminismPolicy:
 
 def _cmd_compile(args) -> int:
     m = _load_machine(args.machine)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # compile before creating --out, so a rejected machine leaves nothing
     if args.backend == "semithue":
         comp = compile_semithue(m, args.n, args.salt_seed)
-        (out / "system.sts").write_text(instance_to_text(comp.system, ""))
-        (out / "codes.json").write_text(table_to_json(comp.table))
-        print(f"rules: {len(comp.system.rules)} "
-              f"(shuttle {comp.r1_count}, machine {comp.r2_count}, "
-              f"decode {comp.r3_count})")
-        print(f"code length: {comp.table.code_len}")
+        files = {"system.sts": instance_to_text(comp.system, "")}
+        summary = (f"rules: {len(comp.system.rules)} "
+                   f"(shuttle {comp.r1_count}, machine {comp.r2_count}, "
+                   f"decode {comp.r3_count})")
     elif args.backend == "pcp":
         comp = compile_pcp(m, args.n, args.salt_seed)
-        (out / "system.pcp").write_text(pairs_to_text(comp.pairs, ""))
-        (out / "codes.json").write_text(table_to_json(comp.table))
-        print(f"pairs: {len(comp.pairs.rules)} "
-              f"(rotate {comp.rotate_count}, "
-              f"transition {comp.transition_count})")
-        print(f"code length: {comp.table.code_len}")
+        files = {"system.pcp": pairs_to_text(comp.pairs, "")}
+        summary = (f"pairs: {len(comp.pairs.rules)} "
+                   f"(rotate {comp.rotate_count}, "
+                   f"transition {comp.transition_count})")
     else:
         ts = compile_tileset(m)
-        (out / "system.til").write_text(tileset_to_text(ts, []))
-        print(f"tiles: {len(ts.tiles)} symbols: {len(ts.symbols)}")
+        files = {"system.til": tileset_to_text(ts, [])}
+        summary = f"tiles: {len(ts.tiles)} symbols: {len(ts.symbols)}"
+    if args.backend != "tiling":
+        files["codes.json"] = coding.table_to_json(comp.table)
+        summary += f"\ncode length: {comp.table.code_len}"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
+    print(summary)
     return 0
 
 
@@ -137,64 +135,15 @@ def _verify_lemma(m: Machine, name: str, n_max: int):
     return rows
 
 
-def _verify_coding():
-    import random
-
-    from .coding import build_code_table
-    rng = random.Random(0)
-    alphabet = [f"a{i}" for i in range(12)]
-    n = 256
-    fails = {1: 0, 2: 0, 3: 0, 4: 0}
-    trials = 1000
-    for t in range(trials):
-        table = build_code_table(alphabet, n, salt_seed=t)
-        x = format(rng.getrandbits(n), f"0{n}b")
-        y = format(rng.getrandbits(n), f"0{n}b")
-        rep = verify_properties(table, x, y)
-        for i, p in enumerate((rep.prop1, rep.prop2, rep.prop3, rep.prop4), 1):
-            # property 4's row is its structural half: a random x or y
-            # without a block decomposition is not a fault of the codes
-            if not p.ok and "no block decomposition" not in p.witness:
-                fails[i] += 1
-    m_payload = (table.code_len - 5) // 2
-    bound = 2 * len(alphabet) * n / (1 << m_payload)
-    rows = [
-        ("coding property 1 (equal lengths)", fails[1] == 0),
-        (f"coding property 2 rate {fails[2]}/{trials}",
-         fails[2] / trials <= bound + 3 * (bound / trials) ** 0.5 + 0.01),
-        ("coding property 3 (cross-bifix-free)", fails[3] == 0),
-        ("coding property 4 (blocks vs codes)", fails[4] == 0),
-    ]
-    return rows
-
-
-def _verify_determinism(m: Machine):
-    from .semithue import staf, serialize_instance
-    x = "10001"
-    comp = compile_semithue(m, len(x))
-    w = st_encode_input(comp, x)
-    strict = det_closure(comp.system, w, staf_budget(len(w)), STRICT,
-                         want_trace=False)
-    look = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8,
-                       want_trace=False)
-    inst = serialize_instance(comp.system, w)
-    rows = [
-        ("strict fails on zero-run-3 input (EXPECTED-FAIL of strict)",
-         not strict.terminal and staf(inst, STRICT) == inst),
-        ("lookahead(8) succeeds on the same input",
-         look.terminal and staf(inst, LOOKAHEAD8) != inst),
-    ]
-    return rows
-
-
 def _cmd_verify(args) -> int:
     if args.suite == "coding":
-        rows = _verify_coding()
+        rows = coding.check_codes([f"a{i}" for i in range(12)], 256,
+                                  trials=1000, seed=0)
     elif args.suite == "lemma":
         rows = _verify_lemma(_load_machine(args.machine), args.machine,
                              args.n_max)
     else:
-        rows = _verify_determinism(_load_machine(args.machine))
+        rows = inverter.determinism(_load_machine(args.machine))
     ok = True
     for label, passed in rows:
         print(f"{'PASS' if passed else 'FAIL'}  {label}")
@@ -340,7 +289,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, OSError, UnicodeDecodeError) as e:
+    except (CliError, CompileError, coding.CodingError, OSError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

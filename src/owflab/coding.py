@@ -3,14 +3,16 @@
 Codes have the shape 001 (d 1)* 11 with the payload bits d taken from a
 salted counter.  The 001 prefix makes "00" occur only at a code start, so
 aligned decoding is forced structurally, and no block is a prefix of any
-code.  The salt makes compilations reproducible while letting a caller
-steer codes away from given payload strings.
+code.  The salt makes compilations reproducible.  check_codes is the one
+trial loop over the four code-scheme properties; `owflab verify --suite
+coding` and the acceptance tests read it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 
 BLOCKS = ("1", "10", "100", "000")
@@ -26,7 +28,6 @@ class CodeTable:
     code_len: int
     codes: dict  # symbol -> bit string, insertion-ordered like alphabet
     salt: int
-    blocks: tuple[str, ...] = BLOCKS
 
     def __post_init__(self):
         object.__setattr__(self, "_decode", {v: k for k, v in self.codes.items()})
@@ -49,10 +50,12 @@ class PropertyReport:
     prop1: PropCheck
     prop2: PropCheck
     prop3: PropCheck
-    prop4: PropCheck
+    prop4: PropCheck  # no block prefixes a code
+    decomposable: PropCheck  # x and y decompose into blocks
 
     def all_ok(self) -> bool:
-        return all(p.ok for p in (self.prop1, self.prop2, self.prop3, self.prop4))
+        return all(p.ok for p in (self.prop1, self.prop2, self.prop3,
+                                  self.prop4, self.decomposable))
 
 
 def _payload_width(n_symbols: int, n: int) -> int:
@@ -64,12 +67,11 @@ def _make_code(value: int, m: int) -> str:
     return "001" + "".join(d + "1" for d in payload) + "11"
 
 
-def build_code_table(alphabet, n: int, avoid=(), salt_seed: int = 0) -> CodeTable:
+def build_code_table(alphabet, n: int, salt_seed: int = 0) -> CodeTable:
     """Build a code table for `alphabet` with payload length bound n.
 
-    The salt is the start of a window of |alphabet| consecutive counter
-    values whose codes occur in none of the `avoid` strings; the search
-    starts at salt_seed so compilations are reproducible.
+    The codes take |alphabet| consecutive counter values starting at the
+    salt, which salt_seed fixes, so compilations are reproducible.
     """
     alphabet = tuple(alphabet)
     if len(alphabet) < 3:
@@ -80,14 +82,9 @@ def build_code_table(alphabet, n: int, avoid=(), salt_seed: int = 0) -> CodeTabl
         raise CodingError("payload length bound must be >= 1")
     m = _payload_width(len(alphabet), n)
     span = (1 << m) - len(alphabet)  # salts 0..span are valid windows
-    base = salt_seed % (span + 1)
-    for k in range(span + 1):
-        salt = (base + k) % (span + 1)
-        codes = [_make_code(salt + i, m) for i in range(len(alphabet))]
-        if all(c not in s for c in codes for s in avoid):
-            table = dict(zip(alphabet, codes))
-            return CodeTable(alphabet, 2 * m + 5, table, salt)
-    raise CodingError("no salt window avoids the given strings")
+    salt = salt_seed % (span + 1)
+    codes = [_make_code(salt + i, m) for i in range(len(alphabet))]
+    return CodeTable(alphabet, 2 * m + 5, dict(zip(alphabet, codes)), salt)
 
 
 def encode(table: CodeTable, symbols) -> str:
@@ -152,7 +149,8 @@ def block_decompose(x: str):
 
 
 def verify_properties(table: CodeTable, x: str, y: str) -> PropertyReport:
-    """Check the four code-scheme properties against payload strings x, y."""
+    """Check the four code-scheme properties against payload strings x, y,
+    and that x and y decompose into blocks."""
     codes = list(table.codes.values())
     # 1: equal lengths
     p1 = PropCheck(True)
@@ -183,21 +181,49 @@ def verify_properties(table: CodeTable, x: str, y: str) -> PropertyReport:
                 break
         if not p3.ok:
             break
-    # 4: x and y decompose into blocks, and no block prefixes a code
+    # 4: no block prefixes a code
     p4 = PropCheck(True)
+    for b in BLOCKS:
+        for c in codes:
+            if c.startswith(b):
+                p4 = PropCheck(False, f"block {b} prefixes code {c}")
+                break
+        if not p4.ok:
+            break
+    dec = PropCheck(True)
     for label, s in (("x", x), ("y", y)):
         if block_decompose(s) == UNDECOMPOSABLE:
-            p4 = PropCheck(False, f"{label} has no block decomposition")
+            dec = PropCheck(False, f"{label} has no block decomposition")
             break
-    if p4.ok:
-        for b in table.blocks:
-            for c in codes:
-                if c.startswith(b):
-                    p4 = PropCheck(False, f"block {b} prefixes code {c}")
-                    break
-            if not p4.ok:
-                break
-    return PropertyReport(p1, p2, p3, p4)
+    return PropertyReport(p1, p2, p3, p4, dec)
+
+
+def check_codes(alphabet, n: int, trials: int, seed: int):
+    """The four properties over `trials` code tables for `alphabet` and
+    random payloads, as (label, passed) rows.  Table t uses salt_seed t,
+    and each trial draws x, then y, as random n-bit payloads.  Properties
+    1, 3 and 4 must never fail; property 2 may, at a rate of at most
+    2|alphabet|n/2^m (m the counter width) plus a 99% binomial slack.
+    Whether x and y decompose into blocks is not a property of the codes
+    and is not counted."""
+    rng = random.Random(seed)
+    fails = [0, 0, 0, 0]
+    for t in range(trials):
+        table = build_code_table(alphabet, n, salt_seed=t)
+        x = format(rng.getrandbits(n), f"0{n}b")
+        y = format(rng.getrandbits(n), f"0{n}b")
+        rep = verify_properties(table, x, y)
+        for i, p in enumerate((rep.prop1, rep.prop2, rep.prop3, rep.prop4)):
+            fails[i] += not p.ok
+    bound = 2 * len(alphabet) * n / (1 << _payload_width(len(alphabet), n))
+    limit = bound + 2.576 * math.sqrt(max(bound * (1 - bound), 0.0) / trials)
+    return [
+        ("coding property 1 (equal lengths)", fails[0] == 0),
+        (f"coding property 2 rate {fails[1]}/{trials} (<= {limit:.4f})",
+         fails[1] / trials <= limit),
+        ("coding property 3 (cross-bifix-free)", fails[2] == 0),
+        ("coding property 4 (blocks vs codes)", fails[3] == 0),
+    ]
 
 
 def code_len_bound(n_symbols: int, n: int) -> int:
@@ -215,13 +241,3 @@ def table_to_json(table: CodeTable) -> str:
         "codes": dict(table.codes),
     }
     return json.dumps(doc, indent=2)
-
-
-def table_from_json(text: str) -> CodeTable:
-    doc = json.loads(text)
-    return CodeTable(
-        alphabet=tuple(doc["alphabet"]),
-        code_len=doc["code_len"],
-        codes={k: doc["codes"][k] for k in doc["alphabet"]},
-        salt=doc["salt"],
-    )

@@ -4,8 +4,10 @@ the forward/inverse cost experiment.
 functions() lists staf, ptf and tiling_f with the parts each is made of
 (parse, closure, step budget, serialize, text format, default policy,
 machine compiler); brute_invert, `owflab eval` and lemma() read it.
-lemma() checks that each compiled system computes its machine; `owflab
-verify --suite lemma` and the acceptance tests read it.
+lemma() checks that each compiled system computes its machine, and
+determinism() that strict semantics stalls on the compiled shuttle layer
+where lookahead resolves it; `owflab verify --suite lemma|determinism` and
+the acceptance tests read them.
 brute_invert parses a target instance once and enumerates candidate
 payloads under its system, which the functions never alter.  Each
 candidate goes through the payload step (semithue.payload_step) and is
@@ -34,6 +36,7 @@ from .machine import run, step_bound
 from .semithue import (
     DeterminismPolicy,
     LOOKAHEAD8,
+    STRICT,
     payload_step,
     serialize_instance,
     staf,
@@ -94,8 +97,8 @@ def functions():
 def lemma(m, n: int):
     """The simulation lemma on machine m's inputs of length n: for each
     function that can compute m at n and each input x it can encode (staf
-    skips the x with no block decomposition), yields (function, x, closure
-    outcome, decoded output, M(x)).  Each closure runs within the
+    skips the x that do not decompose into blocks), yields (function, x,
+    closure outcome, decoded output, M(x)).  Each closure runs within the
     function's budget under its default policy, trace on.  The lemma holds
     for x when the outcome is terminal and the outputs are equal (the
     decoded output is None unless it is terminal, and M(x) is None unless
@@ -111,12 +114,34 @@ def lemma(m, n: int):
         for x, want in zip(inputs, wants):
             try:
                 w = encode(x)
-            except ValueError:  # CompileError: no block decomposition
+            except ValueError:  # CompileError: x does not decompose
                 continue
             out = fn.closure(system, w, fn.budget(len(w)), fn.policy,
                              want_trace=True)
             got = decode(out.result) if out.terminal else None
             yield fn, x, out, got, want
+
+
+def determinism(m):
+    """staf on machine m's compiled instance for x = 10001 (zero run of 3),
+    as (label, passed) rows: strict semantics stops Ambiguous at step 0,
+    so staf under strict is the identity, while lookahead(8) reaches a
+    terminal string and staf moves."""
+    fn = functions()["staf"]
+    x = "10001"
+    system, encode, _ = fn.compile(m, len(x))
+    w = encode(x)
+    inst = fn.serialize(system, w)
+    budget = fn.budget(len(w))
+    strict = fn.closure(system, w, budget, STRICT, want_trace=False)
+    look = fn.closure(system, w, budget, LOOKAHEAD8, want_trace=False)
+    return [
+        ("strict fails on zero-run-3 input (EXPECTED-FAIL of strict)",
+         strict.reason == "Ambiguous" and strict.steps == 0
+         and fn.f(inst, STRICT) == inst),
+        ("lookahead(8) succeeds on the same input",
+         look.terminal and fn.f(inst, LOOKAHEAD8) != inst),
+    ]
 
 
 @dataclass(frozen=True)

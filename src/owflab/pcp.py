@@ -21,6 +21,7 @@ from .coding import CodeTable, build_code_table, decode, encode
 from .machine import BLANK, Machine, RIGHT, TAPE_SYMBOLS
 from .semithue import (
     ClosureOutcome,
+    DEFAULT_MAX_BRANCH,
     DEFAULT_WORK_LIMIT,
     DeterminismPolicy,
     RewriteSystem,
@@ -47,13 +48,13 @@ class PairList(RewriteSystem):
 
 def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
                     policy: DeterminismPolicy = PAPER_POLICY,
-                    want_trace: bool = True,
-                    work_limit: int = DEFAULT_WORK_LIMIT) -> ClosureOutcome:
+                    want_trace: bool = True) -> ClosureOutcome:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     return closure_outcome(*kernels.pcp_closure(
         g.lhs, g.rhs, x, budget, policy.mode_id, policy.depth,
-        policy.max_branch, policy.successor_cap, want_trace, work_limit
+        DEFAULT_MAX_BRANCH, policy.successor_cap, want_trace,
+        DEFAULT_WORK_LIMIT
     ))
 
 

@@ -6,10 +6,11 @@ Determinism comes in two flavours.  Strict keeps a step only when exactly
 one (rule, position) pair applies; two positions of the same rule already
 count as nondeterministic.  Lookahead(d) additionally discards candidate
 branches that provably cannot reach a terminal of the closure's initial
-length any more (a bounded search per branch, sized by d and max_branch),
-which is what makes the compiled block-shuttling systems evaluable: their
-raw-bit phase is never strictly deterministic, but every wrong block
-choice wrecks the code alignment and runs into a dead end.
+length any more (a bounded search per branch, sized by d and
+DEFAULT_MAX_BRANCH), which is what makes the compiled block-shuttling
+systems evaluable: their raw-bit phase is never strictly deterministic,
+but every wrong block choice wrecks the code alignment and runs into a
+dead end.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .bitcodes import gamma_decode, gamma_encode, is_bits
 DEFAULT_LOOKAHEAD = 8
 DEFAULT_MAX_BRANCH = 64
 # Deterministic guard against unbounded growth chains in random instances:
-# by default (det_closure, pcp_det_closure) a closure gives up, as
-# budget-exceeded, after rewriting this many characters in total.
+# a closure (det_closure, pcp_det_closure) gives up, as budget-exceeded,
+# after rewriting this many characters in total.
 # Compiled systems stay far below it.
 DEFAULT_WORK_LIMIT = 20_000_000
 
@@ -61,7 +62,6 @@ class RewriteSystem:
 class DeterminismPolicy:
     mode: str = "lookahead"  # "strict" or "lookahead"
     depth: int = DEFAULT_LOOKAHEAD
-    max_branch: int = DEFAULT_MAX_BRANCH
     successor_cap: int = 0  # 0 = unlimited applicable pairs (pcp only)
 
     def __post_init__(self):
@@ -105,13 +105,13 @@ _REASON = {
 
 
 def det_closure(sys: RewriteSystem, w: str, budget: int,
-                policy: DeterminismPolicy, want_trace: bool = True,
-                work_limit: int = DEFAULT_WORK_LIMIT) -> ClosureOutcome:
+                policy: DeterminismPolicy,
+                want_trace: bool = True) -> ClosureOutcome:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     return closure_outcome(*kernels.st_closure(
         sys.index, sys.rhs, w, budget, policy.mode_id, policy.depth,
-        policy.max_branch, want_trace, work_limit
+        DEFAULT_MAX_BRANCH, want_trace, DEFAULT_WORK_LIMIT
     ))
 
 

@@ -101,7 +101,7 @@ def compile_semithue(m: Machine, n: int, salt_seed: int = 0) -> StCompilation:
 
 def st_encode_input(comp: StCompilation, x: str) -> str:
     if block_decompose(x) == UNDECOMPOSABLE:
-        raise CompileError(f"payload {x!r} has no block decomposition")
+        raise CompileError(f"payload {x!r} does not decompose into blocks")
     t = comp.table
     return t.code(comp.machine.start) + x + t.code(MARKER)
 

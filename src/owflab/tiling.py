@@ -338,6 +338,8 @@ def tileset_from_text(text: str):
 
     k = count(1, "symbols")
     symbols = tuple(_sym_parse(t) for t in lines[2 : 2 + k])
+    if len(set(symbols)) != len(symbols):
+        raise TilingError("repeated symbol name")
     at = 2 + k
     m = count(at, "tiles")
     tiles = []
@@ -348,4 +350,8 @@ def tileset_from_text(text: str):
         n, e, s, w = parts
         tiles.append(Tile(n, s, e, w))
     row = [_sym_parse(t) for t in field(at + 1 + m, "row").split()]
+    if len(lines) > at + 2 + m:
+        raise TilingError("unexpected lines after 'row:' line")
+    if not set(symbols).issuperset(row):
+        raise TilingError("row symbol not in table")
     return TileSet(symbols, tuple(tiles)), row

@@ -10,9 +10,10 @@ import time
 import pytest
 
 from owflab import kernels
-from owflab.coding import block_decompose, build_code_table, verify_properties
+from owflab.coding import block_decompose, check_codes
 from owflab.inverter import (
     Found,
+    determinism,
     invert_staf_target,
     lemma,
     staf_payload,
@@ -34,19 +35,12 @@ from owflab.sampler import (
     sample_sts_instance,
 )
 from owflab.semithue import (
-    LOOKAHEAD8,
-    STRICT,
-    det_closure,
     parse_instance,
     serialize_instance,
     staf,
     staf_budget,
 )
-from owflab.stcompile import (
-    compile_semithue,
-    expected_schema_counts,
-    st_encode_input,
-)
+from owflab.stcompile import compile_semithue, expected_schema_counts
 from owflab.pcp import ptf
 from owflab.tiling import (
     AmbiguousRow,
@@ -130,36 +124,14 @@ def test_acceptance_4_pcp_lemma(lemma_suite):
 
 def test_acceptance_5_coding_properties():
     t0 = time.perf_counter()
-    rng = random.Random(2024)
     alphabet = ["0", "1", "B", "$", "s1", "s2", "k", "s", "C0", "C1",
                 "R0", "R1", "h"]
-    n = 256
-    trials = 1000
-    structural_bad = 0
-    p2_fails = 0
-    m_width = None
-    for t in range(trials):
-        table = build_code_table(alphabet, n, salt_seed=t)
-        m_width = (table.code_len - 5) // 2
-        x = format(rng.getrandbits(n), f"0{n}b")
-        y = format(rng.getrandbits(n), f"0{n}b")
-        rep = verify_properties(table, x, y)
-        if not (rep.prop1.ok and rep.prop3.ok):
-            structural_bad += 1
-        # structural half of property 4: blocks never prefix codes
-        if not rep.prop4.ok and "no block decomposition" not in \
-                rep.prop4.witness:
-            structural_bad += 1
-        if not rep.prop2.ok:
-            p2_fails += 1
-    bound = 2 * len(alphabet) * n / (1 << m_width)
-    slack = 2.576 * math.sqrt(max(bound * (1 - bound), 1e-9) / trials)
-    rate = p2_fails / trials
+    rows = check_codes(alphabet, 256, trials=1000, seed=2024)
     elapsed = time.perf_counter() - t0
-    ok = structural_bad == 0 and rate <= bound + slack and elapsed < 30.0
-    verdict(5, ok, f"coding: props 1/3/4-structural always "
-                   f"({structural_bad} fails), prop2 rate {rate:.4f} <= "
-                   f"{bound:.4f}+{slack:.4f}, {elapsed:.1f}s (< 30s)")
+    ok = all(passed for _, passed in rows) and elapsed < 30.0
+    verdict(5, ok, "coding: " + "; ".join(
+        f"{label} {'PASS' if passed else 'FAIL'}" for label, passed in rows)
+        + f"; {elapsed:.1f}s (< 30s)")
 
 
 def test_acceptance_6_function_laws():
@@ -214,14 +186,7 @@ def test_acceptance_6_function_laws():
 def test_acceptance_7_determinism_regressions():
     # (a) strict fails on a planted zero-run-3 semi-Thue instance: its
     # first step is ambiguous, and lookahead(8) reaches a terminal string
-    m = library_machine("id")
-    comp = compile_semithue(m, 5)
-    w = st_encode_input(comp, "10001")
-    inst = serialize_instance(comp.system, w)
-    strict = det_closure(comp.system, w, staf_budget(len(w)), STRICT)
-    look = det_closure(comp.system, w, staf_budget(len(w)), LOOKAHEAD8)
-    a = (strict.reason == "Ambiguous" and look.terminal
-         and staf(inst, STRICT) == inst and staf(inst, LOOKAHEAD8) != inst)
+    a = all(passed for _, passed in determinism(library_machine("id")))
     # (b) a pending left move gives exactly 2 successors; the rotation
     # branch sticks in one step
     m = library_machine("not")

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -261,8 +260,8 @@ def test_verify_determinism_suite(capsys):
 
 
 def test_verify_coding_suite(capsys):
-    # a random payload with no block decomposition is not a fault of the
-    # codes, so it does not fail property 4's row (blocks vs codes)
+    # a random payload that does not decompose into blocks is not a fault
+    # of the codes, so it does not fail property 4's row (blocks vs codes)
     code, out, _ = run_cli(capsys, "verify", "--suite", "coding")
     assert code == 0 and "FAIL" not in out
 
@@ -271,8 +270,9 @@ def test_verify_coding_suite(capsys):
     ("coding", 0), ("lemma", 2), ("determinism", 2)])
 def test_verify_reads_machine_only_for_suites_that_use_it(
         capsys, monkeypatch, suite, want):
-    from owflab import cli
-    monkeypatch.setattr(cli, "_verify_coding", lambda: [("coding", True)])
+    from owflab import coding
+    monkeypatch.setattr(coding, "check_codes",
+                        lambda *args, **kwargs: [("coding", True)])
     code, out, err = run_cli(capsys, "verify", "--suite", suite,
                              "--machine", "does-not-exist")
     assert code == want
@@ -295,9 +295,9 @@ def test_verify_lemma_suite(capsys, machine):
 
 
 def test_verify_lemma_checks_undecomposable_inputs(capsys, monkeypatch):
-    # an input with no block decomposition has no semithue payload, but
-    # pcp and tiling still check it: a pcp decoder that is wrong on
-    # exactly those inputs must fail its rows (under id, M(x) = x)
+    # an input that does not decompose into blocks has no semithue
+    # payload, but pcp and tiling still check it: a pcp decoder that is
+    # wrong on exactly those inputs must fail its rows (under id, M(x) = x)
     from owflab import pcp
     from owflab.coding import UNDECOMPOSABLE, block_decompose
     decode = pcp.pcp_decode_output
@@ -315,6 +315,37 @@ def test_verify_lemma_checks_undecomposable_inputs(capsys, monkeypatch):
     assert out == ("PASS  semithue id n=1\nFAIL  pcp id n=1\n"
                    "PASS  semithue id n=2\nFAIL  pcp id n=2\n"
                    "PASS  tiling id n=2\n")
+
+
+# machines the compilers reject: state s1 is a name of the rewrite
+# compiler's shuttle layer, halt state B a tape symbol
+CLASH_MACHINES = {
+    "s1": "TM v1\nstart: s1\nhalt: h\ns1 0 -> h 0 R\ns1 1 -> h 1 R\n"
+          "s1 B -> h B R\n",
+    "B": "TM v1\nstart: q\nhalt: B\nq 0 -> B 0 R\nq 1 -> B 1 R\n"
+         "q B -> B B R\n",
+}
+
+
+# experiment samples 200 instances (about 4 s) before it compiles, so it
+# runs on one of the two machines
+@pytest.mark.parametrize("state, argv", [
+    (state, argv) for state in CLASH_MACHINES for argv in (
+        "compile --backend semithue --n 3 --out {dir}/d",
+        "verify --suite lemma --n-max 2",
+        "verify --suite determinism",
+        "invert --n 3",
+    )] + [("B", "experiment --n 3 --targets 1")])
+def test_rejected_machine_exits_2(tmp_path, capsys, state, argv):
+    # these used to end in a CompileError or CodingError traceback with
+    # exit 1, the code of a verification failure
+    machine = tmp_path / "clash.tm"
+    machine.write_text(CLASH_MACHINES[state])
+    code, out, err = run_cli(capsys, *argv.format(dir=tmp_path).split(),
+                             "--machine", str(machine))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_sample_reproducible(capsys):

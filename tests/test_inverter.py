@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owflab import inverter, kernels, pcp, semithue
+from owflab import kernels, pcp, semithue
 from owflab.inverter import (
     CSV_COLUMNS,
     Found,
@@ -224,7 +224,7 @@ def test_machine_targeted_inversion_of_unparseable_target():
 def test_undecomposable_input_is_staf_fixed_point():
     m = library_machine("not")
     comp = compile_semithue(m, 5)
-    x = "00101"  # leading zero run of 2: no block decomposition
+    x = "00101"  # leading zero run of 2: does not decompose
     w = serialize_instance(comp.system, staf_payload(comp, x))
     assert staf(w) == w
     out = invert_staf_target(comp, w)

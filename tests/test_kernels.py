@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from owflab import kernels
 from owflab.machine import library_machine
 from owflab.pcp import PAPER_POLICY, compile_pcp, pcp_encode_input, ptf_budget
+from owflab.semithue import DEFAULT_MAX_BRANCH
 
 # sha256 of _engine_outputs(), recorded from the engine as it was before
 # its two closure loops were merged into one
@@ -193,7 +194,7 @@ def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
     us, vs = comp.pairs.lhs, comp.pairs.rhs
     x = pcp_encode_input(comp, "1010")
     args = (x, ptf_budget(len(x)), PAPER_POLICY.mode_id, PAPER_POLICY.depth,
-            PAPER_POLICY.max_branch, PAPER_POLICY.successor_cap)
+            DEFAULT_MAX_BRANCH, PAPER_POLICY.successor_cap)
     want = kernels.pcp_closure(us, vs, *args)
 
     built = []

@@ -1,7 +1,6 @@
 import pytest
 
 from owflab.machine import (
-    BLANK,
     Crashed,
     Halted,
     LIBRARY_NAMES,

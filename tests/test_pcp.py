@@ -4,7 +4,7 @@ import pytest
 
 from owflab import kernels
 from owflab.inverter import lemma
-from owflab.machine import BLANK, LIBRARY_NAMES, library_machine
+from owflab.machine import LIBRARY_NAMES, library_machine
 from owflab.pcp import (
     PAPER_POLICY,
     PairList,

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from owflab import kernels
 from owflab.semithue import (
-    ClosureOutcome,
+    DEFAULT_MAX_BRANCH,
+    DEFAULT_WORK_LIMIT,
     DeterminismPolicy,
     InstanceParseError,
     LOOKAHEAD8,
     RewriteSystem,
     STRICT,
+    closure_outcome,
     det_closure,
     instance_from_text,
     instance_to_text,
@@ -26,7 +28,7 @@ from owflab.semithue import (
 def step(sys, w, policy):
     """One kernels.st_step under policy: (status, result)."""
     status, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
-                                         policy.depth, policy.max_branch)
+                                         policy.depth, DEFAULT_MAX_BRANCH)
     return status, y
 
 
@@ -81,14 +83,19 @@ def test_closure_budget_and_cycle():
 
 def test_closure_work_limit():
     grow = RewriteSystem((("1", "11"),))
-    out = det_closure(grow, "1", 10**6, LOOKAHEAD8, work_limit=100)
+    out = closure_outcome(*kernels.st_closure(
+        grow.index, grow.rhs, "1", 10**6, LOOKAHEAD8.mode_id,
+        LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH, work_limit=100))
     assert not out.terminal and out.reason == "BudgetExceeded"
 
 
 def test_branch_overflow():
+    # at most one candidate per step: "1" -> "0" and "1" -> "00" overflow
     sys = RewriteSystem((("1", "0"), ("1", "00")))
-    policy = DeterminismPolicy("lookahead", depth=2, max_branch=1)
-    out = det_closure(sys, "111", 100, policy)
+    policy = DeterminismPolicy("lookahead", depth=2)
+    out = closure_outcome(*kernels.st_closure(
+        sys.index, sys.rhs, "111", 100, policy.mode_id, policy.depth, 1,
+        work_limit=DEFAULT_WORK_LIMIT))
     assert not out.terminal and out.reason == "BranchOverflow"
 
 

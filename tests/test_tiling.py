@@ -11,7 +11,6 @@ from owflab.machine import LIBRARY_NAMES, library_machine, run, step_bound
 from owflab.tiling import (
     AmbiguousRow,
     Completed,
-    Stalled,
     Tile,
     TileSet,
     TilingError,
@@ -276,6 +275,10 @@ def test_tileset_from_text_raises_tiling_error_on_malformed_text():
         "TIL v1\nsymbols: 1\na\ntiles: one\na a a a\nrow: a\n",
         "TIL v1\nsymbols: 1\na\ntiles: 1\na a a\nrow: a\n",
         "TIL v1\nsymbols: 1\na\ntiles: 1\na a a b\nrow: a\n",
+        # STS v1 rejects lines after its last line too
+        "TIL v1\nsymbols: 1\na\ntiles: 1\na a a a\nrow: a\nrow: a\n",
+        "TIL v1\nsymbols: 2\na\na\ntiles: 1\na a a a\nrow: a\n",
+        "TIL v1\nsymbols: 1\na\ntiles: 1\na a a a\nrow: a b\n",
     ]:
         with pytest.raises(TilingError):
             tileset_from_text(text)
