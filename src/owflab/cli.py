@@ -9,6 +9,7 @@ total, so identity is a value, not an error), 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .semithue import (
     DeterminismPolicy,
     STRICT,
     instance_to_text,
+    parse_instance,
     trace_to_jsonl,
 )
 from .stcompile import CompileError, compile_semithue
@@ -33,7 +35,7 @@ def _load_machine(spec: str) -> Machine:
     if spec in LIBRARY_NAMES:
         return library_machine(spec)
     try:
-        return parse_machine(Path(spec).read_text())
+        return parse_machine(Path(spec).read_text(), spec)
     except OSError as e:
         raise CliError(f"cannot read machine file {spec}: {e}") from None
     except ValueError as e:
@@ -121,7 +123,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _verify_lemma(m: Machine, name: str, n_max: int):
+def _verify_lemma(m: Machine, n_max: int):
     """inverter.lemma folded into one row per relation and input length:
     PASS when every input the relation can encode decodes to M(x)."""
     rows = []
@@ -130,7 +132,7 @@ def _verify_lemma(m: Machine, name: str, n_max: int):
         for fn, _, out, got, want in inverter.lemma(m, n):
             ok[fn.backend] = (ok.get(fn.backend, True) and out.terminal
                               and got == want)
-        rows += [(f"{backend} {name} n={n}", passed)
+        rows += [(f"{backend} {m.name} n={n}", passed)
                  for backend, passed in ok.items()]
     return rows
 
@@ -140,8 +142,7 @@ def _cmd_verify(args) -> int:
         rows = coding.check_codes([f"a{i}" for i in range(12)], 256,
                                   trials=1000, seed=0)
     elif args.suite == "lemma":
-        rows = _verify_lemma(_load_machine(args.machine), args.machine,
-                             args.n_max)
+        rows = _verify_lemma(_load_machine(args.machine), args.n_max)
     else:
         rows = inverter.determinism(_load_machine(args.machine))
     ok = True
@@ -170,17 +171,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    import random
-    m = _load_machine(args.machine)
-    comp = compile_semithue(m, args.n)
-    rng = random.Random(args.seed)
-    x = format(rng.getrandbits(args.n), f"0{args.n}b")
-    target = inverter.staf_target(comp, x)
-    out = inverter.invert_staf_target(comp, target, limit=args.limit)
-    print(f"target from x={x}: {type(out).__name__} "
-          f"attempts={getattr(out, 'attempts', 0)}")
+    comp = compile_semithue(_load_machine(args.machine), args.n)
+    x = format(random.Random(args.seed).getrandbits(args.n), f"0{args.n}b")
+    _, out = inverter.invert_case(comp, x, args.limit)
+    print(f"target from x={x}: {type(out).__name__} attempts={out.attempts}")
     if isinstance(out, inverter.Found):
-        from .semithue import parse_instance
         _, payload = parse_instance(out.preimage)
         l = comp.table.code_len
         print(f"recovered payload bits: {payload[l:-l]}")
@@ -188,10 +183,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    m = _load_machine(args.machine)
-    rows = inverter.owf_experiment(m, args.machine, args.n, args.targets,
-                                   args.seed, limit=args.limit,
-                                   jobs=args.jobs)
+    rows = inverter.owf_experiment(_load_machine(args.machine), args.n,
+                                   args.targets, args.seed, args.limit,
+                                   args.jobs)
     text = inverter.rows_to_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
@@ -230,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--machine", required=True,
                    help="library name or TM v1 file")
     c.add_argument("--n", type=_positive_int, required=True,
-                   help="input length bound for the code table")
+                   help="input length bound for the code table "
+                        "(tiling ignores --n and --salt-seed)")
     c.add_argument("--salt-seed", type=int, default=0)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=_cmd_compile)

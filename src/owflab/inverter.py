@@ -16,8 +16,9 @@ the function on the whole instance.  The default candidate stream is
 every payload of the target's length in lexicographic order;
 invert_staf_target narrows it to the well-formed encodings of a machine's
 inputs, which shrinks the space from 2^N to 2^n without changing
-soundness.  owf_experiment times staf_target against invert_staf_target
-per input length and writes the rows as CSV (`owflab experiment`).
+soundness.  invert_case times one staf_target and inverts it (`owflab
+invert`); owf_experiment compiles each length first, maps invert_case
+over seeded inputs and writes the rows as CSV (`owflab experiment`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ import itertools
 import random
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from . import pcp, semithue, stcompile, tiling
+from . import pcp, sampler, semithue, stcompile, tiling
 from .machine import run, step_bound
 from .semithue import (
     DeterminismPolicy,
@@ -217,13 +219,11 @@ def staf_payload(comp, x: str) -> str:
     return t.code(comp.machine.start) + x + t.code(MARKER)
 
 
-def staf_target(comp, x: str, policy: DeterminismPolicy = LOOKAHEAD8) -> str:
-    return staf(serialize_instance(comp.system, staf_payload(comp, x)), policy)
+def staf_target(comp, x: str) -> str:
+    return staf(serialize_instance(comp.system, staf_payload(comp, x)))
 
 
-def invert_staf_target(comp, target: str,
-                       policy: DeterminismPolicy = LOOKAHEAD8,
-                       limit: int = 1 << 20):
+def invert_staf_target(comp, target: str, limit: int = 1 << 20):
     """brute_invert over the 2ⁿ well-formed payload encodings, n read from
     the length of the target's payload."""
     def cands(y):
@@ -231,7 +231,20 @@ def invert_staf_target(comp, target: str,
         return (staf_payload(comp, format(k, f"0{n}b"))
                 for k in range(1 << n if n >= 1 else 0))
 
-    return brute_invert("staf", target, policy, limit, cands)
+    return brute_invert("staf", target, limit=limit, candidates=cands)
+
+
+def invert_case(comp, x: str, limit: int):
+    """The inversion case of `owflab invert` and owf_experiment: times one
+    staf_target(comp, x) and inverts it, as (forward_us, result)."""
+    t0 = time.perf_counter()
+    target = staf_target(comp, x)
+    forward_us = (time.perf_counter() - t0) * 1e6
+    return forward_us, invert_staf_target(comp, target, limit)
+
+
+# sampled instances behind owf_experiment's identity rate
+IDENTITY_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -244,75 +257,55 @@ class ExperimentRow:
     attempts: int
     found: bool
     identity_rate: float
-    policy: str
+    policy: str = f"{LOOKAHEAD8.mode}:{LOOKAHEAD8.depth}"
 
 
-def _experiment_case(machine, n: int, x: str, policy: DeterminismPolicy,
-                     limit: int):
-    comp = compile_semithue(machine, n)
-    t0 = time.perf_counter()
-    target = staf_target(comp, x, policy)
-    forward_us = (time.perf_counter() - t0) * 1e6
-    out = invert_staf_target(comp, target, policy, limit)
-    return forward_us, getattr(out, "attempts", 0), isinstance(out, Found)
+CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
-def owf_experiment(machine, name: str, ns, targets_per_n: int, seed: int,
-                   policy: DeterminismPolicy = LOOKAHEAD8,
-                   limit: int = 1 << 22, identity_samples: int = 200,
-                   jobs: int = 1):
+def owf_experiment(machine, ns, targets_per_n: int, seed: int,
+                   limit: int = 1 << 22, jobs: int = 1):
     """Forward/inverse cost measurement for the rewrite-system function.
 
-    For each n: sample targets from random inputs, time one forward
-    evaluation, invert each target, and measure the identity rate of staf
-    on random sampled instances (shared across n).  jobs > 1 spreads the
-    per-target work over processes; rows keep their sequential order.
+    Compiles machine once per n in ns, before any sampling, so a machine
+    the compiler rejects fails at once.  Then measures the identity rate
+    of staf on IDENTITY_SAMPLES sampled instances (shared across n), and
+    runs invert_case on targets_per_n random inputs per n.  jobs > 1
+    spreads the cases over processes; rows keep their sequential order.
     """
-    from .sampler import DefaultUniform, make_rng, sample_sts_instance
+    # imported here: the process pool's modules add about 2.5 MB of
+    # resident memory to every process that imports this module
+    from concurrent.futures import ProcessPoolExecutor
+
+    comps = {n: compile_semithue(machine, n) for n in ns}
+    d = sampler.DefaultUniform(max_int=64, max_len=32, seed=seed)
+    srng = sampler.make_rng(d)
+    ident = 0
+    for _ in range(IDENTITY_SAMPLES):
+        s = sampler.sample_sts_instance(d, srng)
+        w = serialize_instance(s.system, s.payload)
+        ident += staf(w) == w
+    identity_rate = ident / IDENTITY_SAMPLES
 
     rng = random.Random(seed)
-    d = DefaultUniform(max_int=64, max_len=32, seed=seed)
-    srng = make_rng(d)
-    ident = 0
-    for _ in range(identity_samples):
-        s = sample_sts_instance(d, srng)
-        w = serialize_instance(s.system, s.payload)
-        if staf(w, policy) == w:
-            ident += 1
-    identity_rate = ident / identity_samples if identity_samples else 0.0
-
-    cases = [(n, format(rng.getrandbits(n), f"0{n}b"))
-             for n in ns for _ in range(targets_per_n)]
-    if jobs > 1:
-        import concurrent.futures as cf
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _experiment_case,
-                itertools.repeat(machine), (n for n, _ in cases),
-                (x for _, x in cases), itertools.repeat(policy),
-                itertools.repeat(limit)))
-    else:
-        results = [_experiment_case(machine, n, x, policy, limit)
-                   for n, x in cases]
+    case_ns = [n for n in ns for _ in range(targets_per_n)]
+    xs = [format(rng.getrandbits(n), f"0{n}b") for n in case_ns]
+    with ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool:
+        results = list((pool.map if pool else map)(
+            invert_case, map(comps.get, case_ns), xs,
+            itertools.repeat(limit)))
     return [
-        ExperimentRow(
-            kind="staf", machine=name, n=n, seed=seed,
-            forward_us=forward_us, attempts=attempts, found=found,
-            identity_rate=identity_rate,
-            policy=f"{policy.mode}:{policy.depth}",
-        )
-        for (n, _), (forward_us, attempts, found) in zip(cases, results)
+        ExperimentRow(kind="staf", machine=machine.name, n=n, seed=seed,
+                      forward_us=forward_us, attempts=out.attempts,
+                      found=isinstance(out, Found),
+                      identity_rate=identity_rate)
+        for n, (forward_us, out) in zip(case_ns, results)
     ]
-
-
-CSV_COLUMNS = ["kind", "machine", "n", "seed", "forward_us", "attempts",
-               "found", "identity_rate", "policy"]
 
 
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     w.writeheader()
-    for r in rows:
-        w.writerow({c: getattr(r, c) for c in CSV_COLUMNS})
+    w.writerows(map(asdict, rows))
     return buf.getvalue()

@@ -32,7 +32,7 @@ from .semithue import (
     serialize_instance,
     to_text,
 )
-from .stcompile import CompileError, NOT_FINAL
+from .stcompile import CompileError, NOT_FINAL, check_states
 
 PAPER_POLICY = DeterminismPolicy(mode="lookahead", depth=1, successor_cap=2)
 
@@ -99,6 +99,7 @@ class PcpCompilation:
 
 
 def compile_pcp(m: Machine, n: int, salt_seed: int = 0) -> PcpCompilation:
+    check_states(m)
     alphabet = list(TAPE_SYMBOLS) + list(m.states)
     table = build_code_table(alphabet, n, salt_seed=salt_seed)
     c = lambda *syms: encode(table, syms)

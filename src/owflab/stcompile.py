@@ -52,16 +52,25 @@ class StCompilation:
     r3_count: int
 
 
-def _alphabet(m: Machine):
-    internal = [MARKER, SHUTTLE_FWD, SHUTTLE_BACK, SCANNER]
-    clash = set(internal) & set(m.states)
-    if clash:
-        raise CompileError(f"machine states clash with internal names: {clash}")
-    return list(TAPE_SYMBOLS) + internal + list(m.states)
+def check_states(m: Machine, internal=()) -> None:
+    """Raise CompileError naming each state of m that equals a tape symbol
+    or an internal name: one code table cannot tell the two apart."""
+    clashes = []
+    for what, names in (("tape symbols", TAPE_SYMBOLS),
+                        ("internal names", internal)):
+        clash = sorted(set(m.states) & set(names))
+        if clash:
+            clashes.append(f"machine states clash with {what}: "
+                           + ", ".join(clash))
+    if clashes:
+        raise CompileError("; ".join(clashes))
 
 
 def compile_semithue(m: Machine, n: int, salt_seed: int = 0) -> StCompilation:
-    table = build_code_table(_alphabet(m), n, salt_seed=salt_seed)
+    internal = [MARKER, SHUTTLE_FWD, SHUTTLE_BACK, SCANNER]
+    check_states(m, internal)
+    table = build_code_table(list(TAPE_SYMBOLS) + internal + list(m.states),
+                             n, salt_seed=salt_seed)
     c = lambda *syms: encode(table, syms)
 
     rules = []

@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 
 import pytest
 
+from owflab import inverter, sampler
 from owflab.cli import main
 from owflab.machine import LIBRARY_NAMES
 
@@ -325,17 +328,17 @@ CLASH_MACHINES = {
     "B": "TM v1\nstart: q\nhalt: B\nq 0 -> B 0 R\nq 1 -> B 1 R\n"
          "q B -> B B R\n",
 }
+KIND = {"s1": "internal names", "B": "tape symbols"}
 
 
-# experiment samples 200 instances (about 4 s) before it compiles, so it
-# runs on one of the two machines
 @pytest.mark.parametrize("state, argv", [
     (state, argv) for state in CLASH_MACHINES for argv in (
         "compile --backend semithue --n 3 --out {dir}/d",
         "verify --suite lemma --n-max 2",
         "verify --suite determinism",
         "invert --n 3",
-    )] + [("B", "experiment --n 3 --targets 1")])
+        "experiment --n 3 --targets 1",
+    )] + [("B", "compile --backend pcp --n 3 --out {dir}/d")])
 def test_rejected_machine_exits_2(tmp_path, capsys, state, argv):
     # these used to end in a CompileError or CodingError traceback with
     # exit 1, the code of a verification failure
@@ -345,7 +348,33 @@ def test_rejected_machine_exits_2(tmp_path, capsys, state, argv):
                              "--machine", str(machine))
     assert code == 2 and not out
     assert err.startswith("error: ") and "Traceback" not in err
+    assert f"clash with {KIND[state]}: {state}\n" in err
     assert not (tmp_path / "d").exists()
+
+
+def test_pcp_compiles_state_named_like_rewrite_internal(tmp_path, capsys):
+    # s1 clashes only with the rewrite compiler's own names
+    machine = tmp_path / "clash.tm"
+    machine.write_text(CLASH_MACHINES["s1"])
+    code, out, err = run_cli(capsys, "compile", "--backend", "pcp",
+                             "--machine", str(machine), "--n", "3",
+                             "--out", str(tmp_path / "d"))
+    assert code == 0 and not err
+    assert out.startswith("pairs: 6 ")
+    assert (tmp_path / "d" / "system.pcp").exists()
+
+
+def test_rejected_experiment_fails_before_sampling(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before compiling")
+
+    monkeypatch.setattr(sampler, "sample_sts_instance", no_sampling)
+    machine = tmp_path / "clash.tm"
+    machine.write_text(CLASH_MACHINES["B"])
+    code, _, err = run_cli(capsys, "experiment", "--machine", str(machine),
+                           "--n", "3", "--targets", "1")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_sample_reproducible(capsys):
@@ -373,7 +402,21 @@ def test_invert_command(capsys):
     assert "Found" in out and "recovered payload bits:" in out
 
 
-def test_experiment_command(tmp_path, capsys):
+def test_invert_matches_experiment_row(capsys, monkeypatch):
+    # both draw x from random.Random(seed) and run inverter.invert_case
+    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 1)
+    for seed in range(4):
+        _, out, _ = run_cli(capsys, "invert", "--machine", "not", "--n", "5",
+                            "--seed", str(seed))
+        attempts = out.split("attempts=")[1].split()[0]
+        _, out, _ = run_cli(capsys, "experiment", "--machine", "not",
+                            "--n", "5", "--targets", "1", "--seed", str(seed))
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["attempts"] == attempts
+
+
+def test_experiment_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 5)
     out_csv = tmp_path / "rows.csv"
     code, out, _ = run_cli(capsys, "experiment", "--machine", "not",
                            "--n", "4", "--targets", "1", "--seed", "0",

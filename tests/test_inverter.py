@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owflab import kernels, pcp, semithue
+from owflab import inverter, kernels, pcp, semithue
 from owflab.inverter import (
     CSV_COLUMNS,
     Found,
@@ -232,9 +232,10 @@ def test_undecomposable_input_is_staf_fixed_point():
     assert out.preimage == w
 
 
-def test_experiment_rows_and_csv():
+def test_experiment_rows_and_csv(monkeypatch):
+    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 20)
     m = library_machine("not")
-    rows = owf_experiment(m, "not", [4], 2, seed=9, identity_samples=20)
+    rows = owf_experiment(m, [4], 2, seed=9)
     assert len(rows) == 2
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
@@ -247,9 +248,10 @@ def test_experiment_rows_and_csv():
         assert 0.0 <= r.identity_rate <= 1.0
 
 
-def test_experiment_jobs_parallel_matches_sequential():
+def test_experiment_jobs_parallel_matches_sequential(monkeypatch):
+    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 5)
     m = library_machine("not")
-    seq = owf_experiment(m, "not", [4], 2, seed=5, identity_samples=5)
-    par = owf_experiment(m, "not", [4], 2, seed=5, identity_samples=5, jobs=2)
+    seq = owf_experiment(m, [4], 2, seed=5)
+    par = owf_experiment(m, [4], 2, seed=5, jobs=2)
     assert [(r.n, r.attempts, r.found) for r in seq] == \
         [(r.n, r.attempts, r.found) for r in par]

@@ -91,5 +91,5 @@ def test_internal_name_clash_rejected():
     from owflab.machine import Machine, TAPE_SYMBOLS
     t = {("s1", a): ("h", a, "R") for a in TAPE_SYMBOLS}
     m = Machine("clash", ("s1", "h"), "s1", "h", t)
-    with pytest.raises(CompileError):
+    with pytest.raises(CompileError, match="internal names: s1$"):
         compile_semithue(m, 4)
