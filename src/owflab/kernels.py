@@ -27,10 +27,10 @@ strictly outlives the rest.
 A rewrite step changes one window of its string, so the match list of a
 successor is derived from its parent's (_st_derive): the matches before
 the window are kept, those after it are shifted, and only the window is
-scanned again.  The closure carries each step's list to the next, and the
-lookahead derives a node's list when it expands the node.  A full scan
-(st_find_matches) is left for a closure's first string and for the
-successors of a string whose list is too dense to carry.
+scanned again.  A closure keeps one table from each string to its match
+list, read by its steps and their lookahead before they derive or scan.
+A full scan (st_find_matches) is left for a closure's first string and
+for the successors of a string whose list is too dense to keep.
 
 A pair list is indexed once per closure by the lengths of its left
 strings (pair_index: {length: {u: [pair index, ...]}}), so the pairs
@@ -123,11 +123,10 @@ class RuleIndex(tuple):
     sharing one scan.  A needle with a single member is a lone rule.
 
     longest is the length of the longest side, which bounds how far before
-    a rewritten window a match can start and still overlap it.  A match
-    list is carried from a string to its successors only while it holds at
-    most carry_max matches, one per needle: a denser list is dropped and
-    its successors are scanned afresh, so that the lookahead never keeps
-    long lists on its stack.
+    a rewritten window a match can start and still overlap it.  A closure
+    keeps a match list in its table only while it holds at most keep_max
+    matches, one per needle: a denser list is dropped and its successors
+    are scanned afresh, so that the table never holds long lists.
     """
 
     def __new__(cls, lhs):
@@ -164,7 +163,7 @@ class RuleIndex(tuple):
                         self[i], []).append(i)
                 self.shared.append((needle, list(by_len.items())))
         self.longest = max(map(len, self), default=0)
-        self.carry_max = len(needles)
+        self.keep_max = len(needles)
         return self
 
 
@@ -239,16 +238,26 @@ def _st_successors(lhs, rhs, w, matches):
     return out
 
 
-def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo):
+def _st_matches(lhs, lists, w, up, p, i):
+    """w's match list (w is up with rule i applied at p): from lists, else
+    derived from up's list there, else scanned; kept there unless dense."""
+    matches = lists.get(w)
+    if matches is None:
+        base = lists.get(up)
+        matches = (st_find_matches(lhs, w) if base is None
+                   else _st_derive(lhs, up, base, p, i, w))
+        if len(matches) <= lhs.keep_max:
+            lists[w] = matches
+    return matches
+
+
+def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo, lists):
     """Can root's string still reach a stuck string of length ref_len?
 
-    root, like each entry of the search stack, is (s, w, w's match list or
-    None, p, i): s is w with rule i applied at p.  The match list of s is
-    derived from w's when s is expanded, not when it is pushed, and
-    rescanned when w's was too dense to carry.
-
-    memo caches proven answers across the calls of one closure.  DFS with
-    a node budget; exhausting the budget returns True without caching.
+    root, like each entry of the search stack, is (s, w, p, i): s is w
+    with rule i applied at p.  memo caches proven answers, and lists match
+    lists (_st_matches), across the calls of one closure.  DFS with a node
+    budget; exhausting the budget returns True without caching.
     """
     s = root[0]
     got = memo.get(s)
@@ -259,14 +268,10 @@ def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo):
     parent = {s: None}
     budget = node_budget
     while stack:
-        w, up, matches, p, i = stack.pop()
-        matches = (st_find_matches(lhs, w) if matches is None
-                   else _st_derive(lhs, up, matches, p, i, w))
-        succ = _st_successors(lhs, rhs, w, matches)
-        if len(matches) > lhs.carry_max:
-            # not carried, and freed before the next node is scanned: a
-            # dense list kept alive here would double the allocation peak
-            matches = None
+        w, up, p, i = stack.pop()
+        # the list is not held past this call, so a dense one is freed here
+        succ = _st_successors(lhs, rhs, w,
+                              _st_matches(lhs, lists, w, up, p, i))
         if len(succ) > max_branch:
             raise _Overflow
         if not succ:
@@ -294,32 +299,26 @@ def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo):
                 return True  # unproven; do not cache
             visited.add(y)
             parent[y] = w
-            stack.append((y, w, matches, p, i))
+            stack.append((y, w, p, i))
     for w in visited:
         memo[w] = False
     return False
 
 
 def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
-            carry=None):
+            lists=None):
     """One deterministic rewrite step.  mode: 0 strict, 1 lookahead.
-
-    carry, if given, is [string, its match list or None].  When it holds w
-    and a list, the list stands in for a scan of w.  A unique step sets it
-    to the successor and the successor's list, derived from w's, or None
-    when w's list is too dense to carry.
-    """
+    lists is the closure's table of match lists (_st_matches); a unique
+    step stores its successor's list there when w's list is kept."""
     lhs = _indexed(lhs)
-    if carry is not None and carry[1] is not None and carry[0] == w:
-        matches = carry[1]
-    else:
-        matches = st_find_matches(lhs, w)
+    if lists is None:
+        lists = {}
+    matches = _st_matches(lhs, lists, w, None, -1, -1)
     if mode == 0 and len(matches) > 1:
         return (STEP_AMBIGUOUS, w, -1, -1, len(matches))
     succ = _st_successors(lhs, rhs, w, matches)
     if not succ:
         return (STEP_STUCK, w, -1, -1, 0)
-    carried = matches if len(matches) <= lhs.carry_max else None
     if len(succ) > 1:
         if len(succ) > max_branch:
             return (STEP_OVERFLOW, w, -1, -1, len(succ))
@@ -331,8 +330,8 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
         survivors = []
         try:
             for y, p, i in succ:
-                if _st_alive(lhs, rhs, (y, w, carried, p, i), ref_len,
-                             max_branch, node_budget, memo):
+                if _st_alive(lhs, rhs, (y, w, p, i), ref_len, max_branch,
+                             node_budget, memo, lists):
                     survivors.append((y, p, i))
                     if len(survivors) > 1:
                         break
@@ -342,25 +341,22 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
             return (STEP_AMBIGUOUS, w, -1, -1, len(succ))
         succ = survivors
     y, p, i = succ[0]
-    if carry is not None:
-        carry[:] = y, (None if carried is None
-                       else _st_derive(lhs, w, carried, p, i, y))
+    if w in lists:
+        _st_matches(lhs, lists, y, w, p, i)
     return (STEP_UNIQUE, y, p, i, 1)
 
 
 def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
                want_trace=False, work_limit=0):
     """Iterate st_step while unique; see _close.  The rule index is built
-    once here, every step's lookahead measures usefulness against the
-    initial length and shares one memo, and each step carries its
-    successor's match list to the next (see st_step)."""
+    once here, and every step's lookahead measures usefulness against the
+    initial length and shares one memo and one table of match lists."""
     lhs = _indexed(lhs)
     ref_len = len(w)
-    memo = {}
-    carry = [w, None]
+    memo, lists = {}, {}
     return _close(
         lambda s: st_step(lhs, rhs, s, mode, depth, max_branch, ref_len,
-                          memo, carry),
+                          memo, lists),
         w, budget, want_trace, work_limit)
 
 

@@ -11,14 +11,18 @@ to the matcher or the closure loop that alters any of them fails here.
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owflab import kernels
+from owflab.inverter import staf_payload
 from owflab.machine import library_machine
 from owflab.pcp import PAPER_POLICY, compile_pcp, pcp_encode_input, ptf_budget
-from owflab.semithue import DEFAULT_MAX_BRANCH
+from owflab.semithue import DEFAULT_MAX_BRANCH, LOOKAHEAD8, staf_budget
+from owflab.stcompile import compile_semithue
 
 # sha256 of _engine_outputs(), recorded from the engine as it was before
 # its two closure loops were merged into one
@@ -297,36 +301,75 @@ def test_derived_match_lists_equal_a_full_scan(system):
 @example(DERIVE_EXAMPLES[0], 1, True)
 @example(DERIVE_EXAMPLES[1], 1, True)
 @example(DERIVE_EXAMPLES[2], 0, False)
-def test_carried_match_lists_equal_a_full_scan(system, mode, carry_all):
-    """Along a closure, the list carried to each step and the list of each
-    string the lookahead expands equal a full scan.  carry_all lifts the
-    density limit, so that every list is carried."""
+def test_carried_match_lists_equal_a_full_scan(system, mode, keep_all):
+    """Along a closure, the list of each string a step or the lookahead
+    expands, whether read from the closure's table, derived or scanned,
+    equals a full scan.  keep_all lifts the density limit, so that every
+    list is kept in the table."""
     sides, rhs, w = system
     lhs = kernels.RuleIndex(sides)
-    if carry_all:
-        lhs.carry_max = 1 << 20
+    if keep_all:
+        lhs.keep_max = 1 << 20
     original = kernels._st_successors
 
     def checked(lhs_, rhs_, s, matches):
         assert matches == naive_find_matches(sides, s), s
         return original(lhs_, rhs_, s, matches)
 
-    kernels._st_successors = checked
-    try:
-        carry = [w, None]
-        memo = {}
-        ref_len = len(w)
-        for _ in range(20):
-            kind, y, _, _, _ = kernels.st_step(lhs, rhs, w, mode, 2, 8,
-                                               ref_len, memo, carry)
-            if kind != kernels.STEP_UNIQUE:
-                break
-            assert carry[0] == y
-            if carry[1] is not None:
-                assert carry[1] == naive_find_matches(sides, y)
-            w = y
-    finally:
-        kernels._st_successors = original
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_st_successors", checked)
+        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8)
+
+
+def _lists_made(mp):
+    """Patch the two ways a match list is made, derived or scanned; the
+    (string, number of matches) of each list made."""
+    made = []
+    derive, scan = kernels._st_derive, kernels.st_find_matches
+
+    def derived(lhs, w, matches, p, i, y):
+        out = derive(lhs, w, matches, p, i, y)
+        made.append((y, len(out)))
+        return out
+
+    def scanned(lhs, w):
+        out = scan(lhs, w)
+        made.append((w, len(out)))
+        return out
+
+    mp.setattr(kernels, "_st_derive", derived)
+    mp.setattr(kernels, "st_find_matches", scanned)
+    return made
+
+
+@settings(max_examples=300, deadline=None)
+@given(rewrite_systems(), st.sampled_from([0, 1]))
+@example(DERIVE_EXAMPLES[1], 1)
+def _kept_lists_are_made_once(system, mode):
+    sides, rhs, w = system
+    lhs = kernels.RuleIndex(sides)
+    with pytest.MonkeyPatch.context() as mp:
+        made = _lists_made(mp)
+        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8)
+    counts = Counter(s for s, _ in made)
+    assert all(n > lhs.keep_max for s, n in made if counts[s] > 1)
+
+
+def test_one_closure_derives_each_string_once():
+    """Within one closure no string's match list is made twice, unless it
+    is too dense to keep; on a compiled candidate (not at n = 7, the
+    payload of 1111111), whose lists are all kept, no string's is."""
+    _kept_lists_are_made_once()
+    comp = compile_semithue(library_machine("not"), 7)
+    w = staf_payload(comp, "1111111")
+    with pytest.MonkeyPatch.context() as mp:
+        made = _lists_made(mp)
+        out = kernels.st_closure(
+            comp.system.index, comp.system.rhs, w, staf_budget(len(w)),
+            LOOKAHEAD8.mode_id, LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH)
+    assert out[0] == kernels.CLOSE_TERMINAL and out[2] == 39
+    strings = [s for s, _ in made]
+    assert len(strings) > 39 and len(set(strings)) == len(strings)
 
 
 def test_dense_match_lists_are_not_carried():
