@@ -39,25 +39,6 @@ class CodeTable:
             raise CodingError(f"unknown symbol {symbol!r}") from None
 
 
-@dataclass(frozen=True)
-class PropCheck:
-    ok: bool
-    witness: str = ""
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    prop1: PropCheck
-    prop2: PropCheck
-    prop3: PropCheck
-    prop4: PropCheck  # no block prefixes a code
-    decomposable: PropCheck  # x and y decompose into blocks
-
-    def all_ok(self) -> bool:
-        return all(p.ok for p in (self.prop1, self.prop2, self.prop3,
-                                  self.prop4, self.decomposable))
-
-
 def _payload_width(n_symbols: int, n: int) -> int:
     return math.ceil(math.log2(n_symbols * (2 * n + 2) + n_symbols)) + 1
 
@@ -148,54 +129,21 @@ def block_decompose(x: str):
     return out
 
 
-def verify_properties(table: CodeTable, x: str, y: str) -> PropertyReport:
-    """Check the four code-scheme properties against payload strings x, y,
-    and that x and y decompose into blocks."""
+def _properties(table: CodeTable, x: str, y: str):
+    """Whether each of the four code-scheme properties holds for table
+    against payload strings x and y."""
     codes = list(table.codes.values())
-    # 1: equal lengths
-    p1 = PropCheck(True)
-    for sym, c in table.codes.items():
-        if len(c) != table.code_len:
-            p1 = PropCheck(False, f"code of {sym} has length {len(c)}")
-            break
-    # 2: no code occurs inside x or y
-    p2 = PropCheck(True)
-    for label, s in (("x", x), ("y", y)):
-        for sym, c in table.codes.items():
-            at = s.find(c)
-            if at >= 0:
-                p2 = PropCheck(False, f"code of {sym} in {label} at offset {at}")
-                break
-        if not p2.ok:
-            break
-    # 3: a nonempty suffix of a code that prefixes a code equals both
-    p3 = PropCheck(True)
-    for u in codes:
-        for v in codes:
-            for k in range(1, len(u) + 1):
-                z = u[-k:]
-                if v.startswith(z) and not (z == u == v):
-                    p3 = PropCheck(False, f"suffix {z} of {u} prefixes {v}")
-                    break
-            if not p3.ok:
-                break
-        if not p3.ok:
-            break
-    # 4: no block prefixes a code
-    p4 = PropCheck(True)
-    for b in BLOCKS:
-        for c in codes:
-            if c.startswith(b):
-                p4 = PropCheck(False, f"block {b} prefixes code {c}")
-                break
-        if not p4.ok:
-            break
-    dec = PropCheck(True)
-    for label, s in (("x", x), ("y", y)):
-        if block_decompose(s) == UNDECOMPOSABLE:
-            dec = PropCheck(False, f"{label} has no block decomposition")
-            break
-    return PropertyReport(p1, p2, p3, p4, dec)
+    return (
+        # 1: equal lengths
+        all(len(c) == table.code_len for c in codes),
+        # 2: no code occurs inside x or y
+        not any(c in s for s in (x, y) for c in codes),
+        # 3: a nonempty suffix of a code that prefixes a code equals both
+        not any(v.startswith(u[-k:]) and not (u[-k:] == u == v)
+                for u in codes for v in codes for k in range(1, len(u) + 1)),
+        # 4: no block prefixes a code
+        not any(c.startswith(b) for b in BLOCKS for c in codes),
+    )
 
 
 def check_codes(alphabet, n: int, trials: int, seed: int):
@@ -212,9 +160,8 @@ def check_codes(alphabet, n: int, trials: int, seed: int):
         table = build_code_table(alphabet, n, salt_seed=t)
         x = format(rng.getrandbits(n), f"0{n}b")
         y = format(rng.getrandbits(n), f"0{n}b")
-        rep = verify_properties(table, x, y)
-        for i, p in enumerate((rep.prop1, rep.prop2, rep.prop3, rep.prop4)):
-            fails[i] += not p.ok
+        for i, ok in enumerate(_properties(table, x, y)):
+            fails[i] += not ok
     bound = 2 * len(alphabet) * n / (1 << _payload_width(len(alphabet), n))
     limit = bound + 2.576 * math.sqrt(max(bound * (1 - bound), 0.0) / trials)
     return [
@@ -224,11 +171,6 @@ def check_codes(alphabet, n: int, trials: int, seed: int):
         ("coding property 3 (cross-bifix-free)", fails[2] == 0),
         ("coding property 4 (blocks vs codes)", fails[3] == 0),
     ]
-
-
-def code_len_bound(n_symbols: int, n: int) -> int:
-    """Concrete form of the 2 log + O(1) code length guarantee."""
-    return 2 * math.ceil(math.log2(n_symbols * (2 * n + 2))) + 9
 
 
 # --- JSON sidecar --------------------------------------------------------

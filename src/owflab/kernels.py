@@ -167,10 +167,6 @@ class RuleIndex(tuple):
         return self
 
 
-def _indexed(lhs):
-    return lhs if type(lhs) is RuleIndex else RuleIndex(lhs)
-
-
 def _scan(lhs, w):
     """All (position, rule index) pairs of w, sorted."""
     out = []
@@ -192,11 +188,9 @@ def _scan(lhs, w):
 
 
 def st_find_matches(lhs, w):
-    """All (position, rule index) pairs, sorted by (position, rule).
-
-    lhs is a RuleIndex, or a sequence of left-hand sides indexed here.
-    """
-    return _scan(_indexed(lhs), w)
+    """All (position, rule index) pairs of the RuleIndex lhs in w, sorted
+    by (position, rule): a full scan."""
+    return _scan(lhs, w)
 
 
 def _st_derive(lhs, w, matches, p, i, y):
@@ -305,14 +299,12 @@ def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo, lists):
     return False
 
 
-def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
-            lists=None):
+def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, memo, lists):
     """One deterministic rewrite step.  mode: 0 strict, 1 lookahead.
-    lists is the closure's table of match lists (_st_matches); a unique
-    step stores its successor's list there when w's list is kept."""
-    lhs = _indexed(lhs)
-    if lists is None:
-        lists = {}
+    The lookahead keeps a branch that can reach a stuck string of length
+    ref_len (_st_alive); memo and lists are the closure's proven answers
+    and its table of match lists (_st_matches).  A unique step stores its
+    successor's list there when w's list is kept."""
     matches = _st_matches(lhs, lists, w, None, -1, -1)
     if mode == 0 and len(matches) > 1:
         return (STEP_AMBIGUOUS, w, -1, -1, len(matches))
@@ -322,10 +314,6 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
     if len(succ) > 1:
         if len(succ) > max_branch:
             return (STEP_OVERFLOW, w, -1, -1, len(succ))
-        if ref_len < 0:
-            ref_len = len(w)
-        if memo is None:
-            memo = {}
         node_budget = max_branch * (depth + 1)
         survivors = []
         try:
@@ -346,12 +334,11 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len=-1, memo=None,
     return (STEP_UNIQUE, y, p, i, 1)
 
 
-def st_closure(lhs, rhs, w, budget, mode, depth, max_branch,
-               want_trace=False, work_limit=0):
-    """Iterate st_step while unique; see _close.  The rule index is built
-    once here, and every step's lookahead measures usefulness against the
-    initial length and shares one memo and one table of match lists."""
-    lhs = _indexed(lhs)
+def st_closure(lhs, rhs, w, budget, mode, depth, max_branch, want_trace,
+               work_limit):
+    """Iterate st_step while unique; see _close.  lhs is a RuleIndex.
+    Every step's lookahead measures usefulness against the initial length
+    and shares one memo and one table of match lists."""
     ref_len = len(w)
     memo, lists = {}, {}
     return _close(
@@ -385,16 +372,15 @@ def pcp_applications(us, vs, x):
     """All (pair index, yielded string), one per applicable pair, in pair
     index order.
 
-    us is a PairIndex, or a sequence of left strings indexed here.  A pair
-    whose u is longer than x applies when x is a prefix of u and v starts
-    with the rest of u; only the lengths above |x| are searched that way.
-    Hits at two lengths are sorted back into index order, on which the
-    choice among equal successors and lookahead ties depends.
+    us is the PairIndex of the left strings.  A pair whose u is longer than
+    x applies when x is a prefix of u and v starts with the rest of u;
+    only the lengths above |x| are searched that way.  Hits at two lengths
+    are sorted back into index order, on which the choice among equal
+    successors and lookahead ties depends.
     """
-    table = us if type(us) is PairIndex else pair_index(us)
     out = []
     n = len(x)
-    for k, heads in table.items():
+    for k, heads in us.items():
         if k <= n:
             members = heads.get(x[:k])
             if members:
@@ -467,8 +453,9 @@ def _pcp_depth(us, vs, x, cap, budget):
             stack.append([_pcp_expand(us, vs, succ[k][0], budget), 0, 0])
 
 
-def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap=0):
-    """One deterministic yield step.  succ_cap bounds applicable pairs."""
+def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap):
+    """One deterministic yield step on the PairIndex us.  succ_cap bounds
+    applicable pairs."""
     succ, napps = _pcp_successors(us, vs, x)
     if mode == 0:
         if napps == 0:
@@ -508,8 +495,8 @@ def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap=0):
     return (STEP_UNIQUE, y, -1, i, 1)
 
 
-def pcp_closure(us, vs, x, budget, mode, depth, max_branch, succ_cap=0,
-                want_trace=False, work_limit=0):
+def pcp_closure(us, vs, x, budget, mode, depth, max_branch, succ_cap,
+                want_trace, work_limit):
     """Iterate pcp_step while unique; see _close.  The pair index is built
     once here and passed to every step in place of us."""
     us = pair_index(us)

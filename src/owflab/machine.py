@@ -172,13 +172,6 @@ def parse_machine(text: str, name: str = "<anonymous>") -> Machine:
                    transitions=transitions)
 
 
-def machine_source(m: Machine) -> str:
-    out = ["TM v1", f"start: {m.start}", f"halt: {m.halt}"]
-    for (q, a), (p, b, d) in sorted(m.transitions.items()):
-        out.append(f"{q} {a} -> {p} {b} {d}")
-    return "\n".join(out) + "\n"
-
-
 # --- library machines ----------------------------------------------------
 
 def _fill_total(states, halt, transitions):

@@ -58,20 +58,6 @@ def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
     ))
 
 
-def verify_witness(g: RewriteSystem, x: str, indices) -> bool:
-    """Replay an index sequence as yield steps from x, each through the
-    engine's yield equation for that one pair."""
-    for i in indices:
-        if not 0 <= i < len(g.rules):
-            return False
-        u, v = g.rules[i]
-        step = kernels.pcp_applications([u], [v], x)
-        if not step:
-            return False
-        x = step[0][1]
-    return True
-
-
 # --- the PTF one-way function ---------------------------------------------
 
 def ptf_budget(n: int) -> int:
@@ -120,15 +106,6 @@ def compile_pcp(m: Machine, n: int, salt_seed: int = 0) -> PcpCompilation:
                     pairs.append((c(ctx, q, a), c(p, ctx, b)))
     return PcpCompilation(m, PairList(tuple(pairs)), table, rot,
                           len(pairs) - rot)
-
-
-def expected_pair_counts(m: Machine):
-    """Independent pair-count computation straight from the schema shapes."""
-    rot = len(TAPE_SYMBOLS)
-    trans = 0
-    for (q, a), (p, b, d) in m.transitions.items():
-        trans += 1 if d == RIGHT else len(TAPE_SYMBOLS)
-    return rot, trans
 
 
 def pcp_encode_input(comp: PcpCompilation, x: str) -> str:

@@ -4,9 +4,9 @@ probability proportional to 2^{-ℓ}/ℓ² (a 1/ℓ² length law, then uniform
 bits), and whole rewrite-system / pair-list instances built from them.
 
 The heavy-tailed laws are truncated at configurable bounds and
-renormalized; the truncated mass is below 1/bound and is reported so
-experiments can state it.  All draws flow through random.Random seeded
-explicitly, so identical seeds reproduce identical samples.
+renormalized; the mass cut off is below 1/bound.  All draws flow
+through random.Random seeded explicitly, so identical seeds reproduce
+identical samples.
 """
 
 from __future__ import annotations
@@ -63,27 +63,6 @@ def _cumulative(bound: int):
     return got
 
 
-def int_probability(d: DefaultUniform, n: int) -> float:
-    """P(n) under the truncated 1/n² law."""
-    if not 1 <= n <= d.max_int:
-        return 0.0
-    cum = _cumulative(d.max_int)
-    return (1.0 / (n * n)) / cum[-1]
-
-
-def length_probability(d: DefaultUniform, ell: int) -> float:
-    """P(|u| = ell) under the truncated 1/ℓ² length law."""
-    if not 1 <= ell <= d.max_len:
-        return 0.0
-    cum = _cumulative(d.max_len)
-    return (1.0 / (ell * ell)) / cum[-1]
-
-
-def truncated_mass_bound(bound: int) -> float:
-    """Upper bound on the probability mass cut off at `bound` (< 1/bound)."""
-    return 1.0 / bound
-
-
 def sample_int(d: DefaultUniform, rng: random.Random) -> int:
     cum = _cumulative(d.max_int)
     return bisect.bisect_left(cum, rng.random() * cum[-1]) + 1
@@ -115,10 +94,3 @@ def sample_sts_instance(d: DefaultUniform, rng: random.Random) -> StsSample:
 def sample_pcp_instance(d: DefaultUniform, rng: random.Random) -> PcpSample:
     return PcpSample(*_draw(d, rng, PairList))
 
-
-def instance_size(sample) -> int:
-    """The n + |u| + |v| + Σ(|gᵢ|+|hᵢ|) size measure of a sampled instance."""
-    rules = (sample.system.rules if isinstance(sample, StsSample)
-             else sample.pairs.rules)
-    return (sample.n + len(sample.payload) + len(sample.target)
-            + sum(len(g) + len(h) for g, h in rules))

@@ -145,12 +145,3 @@ def st_decode_output(comp: StCompilation, w: str):
             return NOT_FINAL
     return y
 
-
-def expected_schema_counts(m: Machine):
-    """Independent rule-count computation straight from the schema shapes."""
-    r1 = 5 * len(BLOCKS)
-    r2 = 0
-    for (q, a), (p, b, d) in m.transitions.items():
-        r2 += 4 if d == RIGHT else 3
-    r3 = 2 + 2 + 1 + 1
-    return r1, r2, r3

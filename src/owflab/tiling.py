@@ -43,13 +43,15 @@ class Tile:
 
 @dataclass(frozen=True)
 class TileSet:
-    symbols: tuple
+    symbols: tuple  # or range(S), the table of a parsed instance
     tiles: tuple
 
     def __post_init__(self):
         if len(set(self.tiles)) != len(self.tiles):
             raise TilingError("tiles must be distinct")
-        syms = set(self.symbols)
+        # a range answers `in` for an int in O(1), so it is not copied
+        syms = (self.symbols if isinstance(self.symbols, range)
+                else set(self.symbols))
         for t in self.tiles:
             for edge in (t.north, t.south, t.east, t.west):
                 if edge not in syms:
@@ -208,23 +210,30 @@ def _id_width(n_symbols: int) -> int:
 
 def serialize_tiling_instance(ts: TileSet, row) -> str:
     """gamma(S+1), gamma(#tiles+1), fixed-width edge ids per tile (N,E,S,W),
-    gamma(len(row)+1), fixed-width row ids."""
-    index = {s: i for i, s in enumerate(ts.symbols)}
-    w = _id_width(len(ts.symbols))
-    out = [gamma_encode(len(ts.symbols) + 1),
-           gamma_encode(len(ts.tiles) + 1)]
-    for t in ts.tiles:
-        for edge in (t.north, t.east, t.south, t.west):
-            out.append(format(index[edge], f"0{w}b"))
-    out.append(gamma_encode(len(row) + 1))
-    for s in row:
-        out.append(format(index[s], f"0{w}b"))
-    return "".join(out)
+    gamma(len(row)+1), fixed-width row ids.  A symbol outside the table
+    raises KeyError."""
+    syms = ts.symbols
+    edges = [e for t in ts.tiles for e in (t.north, t.east, t.south, t.west)]
+    if isinstance(syms, range):
+        # a parsed table, range(S): each symbol is its own id, and S may
+        # be far too large to build the table or take its len()
+        count = syms.stop
+        ids = {s: s for s in (*edges, *row)
+               if isinstance(s, int) and s in syms}
+    else:
+        count = len(syms)
+        ids = {s: i for i, s in enumerate(syms)}
+    w = _id_width(count)
+    code = {s: format(i, f"0{w}b") for s, i in ids.items()}
+    return "".join([gamma_encode(count + 1), gamma_encode(len(ts.tiles) + 1),
+                    *[code[e] for e in edges], gamma_encode(len(row) + 1),
+                    *[code[s] for s in row]])
 
 
 def parse_tiling_instance(bits: str):
     """Inverse of serialize_tiling_instance over index symbols; the whole
-    string must be consumed."""
+    string must be consumed.  The symbol table is range(S), never built,
+    so its size costs nothing whatever count the string declares."""
     if not is_bits(bits):
         raise TilingError("instance must be a bit string")
     got = gamma_decode(bits, 0)
@@ -263,7 +272,7 @@ def parse_tiling_instance(bits: str):
     row = [take_id() for _ in range(r_len)]
     if pos != len(bits):
         raise TilingError("trailing bits after instance")
-    return TileSet(tuple(range(s_count)), tuple(tiles)), row
+    return TileSet(range(s_count), tuple(tiles)), row
 
 
 def tiling_closure(ts: TileSet, row, height: int, policy=None,

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from oracles import expected_schema_counts, length_probability
 from owflab import kernels
 from owflab.coding import block_decompose, check_codes
 from owflab.inverter import (
@@ -27,7 +28,6 @@ from owflab.pcp import (
 )
 from owflab.sampler import (
     DefaultUniform,
-    length_probability,
     make_rng,
     sample_int,
     sample_pcp_instance,
@@ -40,7 +40,7 @@ from owflab.semithue import (
     staf,
     staf_budget,
 )
-from owflab.stcompile import compile_semithue, expected_schema_counts
+from owflab.stcompile import compile_semithue
 from owflab.pcp import ptf
 from owflab.tiling import (
     AmbiguousRow,
@@ -192,7 +192,7 @@ def test_acceptance_7_determinism_regressions():
     m = library_machine("not")
     pcomp = compile_pcp(m, 3)
     x = pcp_encode_input(pcomp, "101")
-    us, vs = pcomp.pairs.lhs, pcomp.pairs.rhs
+    us, vs = kernels.pair_index(pcomp.pairs.lhs), pcomp.pairs.rhs
     b = False
     for _ in range(ptf_budget(len(x))):
         succ = kernels.pcp_applications(us, vs, x)

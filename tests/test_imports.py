@@ -1,6 +1,9 @@
-"""Every name a module under src/ or tests/ imports is used in it."""
+"""Every name a module under src/ or tests/ imports is used in it, and
+every top-level function and class of the library has a reader outside
+the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,3 +29,34 @@ def test_no_unused_imports():
               for path in sorted((REPO / top).rglob("*.py"))
               for name in unused_imports(path)]
     assert [u for u in unused if u not in EXEMPT] == []
+
+
+def named(node):
+    """How often node's subtree names each name: as a Name, an Attribute or
+    a string constant (getattr and the benchmark's tracer name functions
+    by string)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def test_every_library_name_has_a_reader_outside_the_tests():
+    """Each top-level def and class in src/owflab is named in src/ or in
+    owfbench/ (not its tests) outside its own definition."""
+    trees = {path: ast.parse(path.read_text())
+             for top in ("src", "owfbench")
+             for path in sorted((REPO / top).rglob("*.py"))
+             if not path.name.startswith("test_")}
+    everywhere = sum(map(named, trees.values()), Counter())
+    unread = [f"{path.stem}.{node.name}"
+              for path, tree in trees.items() if path.parent.name == "owflab"
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and everywhere[node.name] == named(node)[node.name]]
+    assert unread == []

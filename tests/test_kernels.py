@@ -72,6 +72,13 @@ def naive_st_step_strict(lhs, rhs, w):
     return (kernels.STEP_UNIQUE, w[:p] + rhs[i] + w[p + len(lhs[i]):], p, i, 1)
 
 
+def first_st_step(lhs, rhs, w, mode, depth, max_branch):
+    """kernels.st_step as the first step of a closure from w: a fresh rule
+    index, memo and table of match lists, and w's length as reference."""
+    return kernels.st_step(kernels.RuleIndex(lhs), rhs, w, mode, depth,
+                           max_branch, len(w), {}, {})
+
+
 def naive_pcp_step_strict(us, vs, x):
     apps = naive_applications(us, vs, x)
     if not apps:
@@ -93,7 +100,8 @@ def test_st_find_matches_is_a_sliding_window_scan():
     for _ in range(300):
         lhs, _ = random_system(rng)
         w = bits(rng, 0, 12)
-        assert kernels.st_find_matches(lhs, w) == naive_find_matches(lhs, w)
+        assert kernels.st_find_matches(kernels.RuleIndex(lhs), w) == \
+            naive_find_matches(lhs, w)
 
 
 def bit_text(lo, hi):
@@ -134,9 +142,8 @@ def systems_and_strings(draw):
 @example((["10101010", "1010"], "101"))  # sides longer than w
 def test_st_find_matches_equals_sliding_window(system):
     sides, w = system
-    want = naive_find_matches(sides, w)
-    assert kernels.st_find_matches(sides, w) == want
-    assert kernels.st_find_matches(kernels.RuleIndex(sides), w) == want
+    assert kernels.st_find_matches(kernels.RuleIndex(sides), w) == \
+        naive_find_matches(sides, w)
 
 
 @settings(max_examples=400, deadline=None)
@@ -152,9 +159,8 @@ def test_st_find_matches_equals_sliding_window(system):
 def test_pcp_applications_equal_the_yield_equation(pairs, x):
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
-    want = naive_applications(us, vs, x)
-    assert kernels.pcp_applications(us, vs, x) == want
-    assert kernels.pcp_applications(kernels.pair_index(us), vs, x) == want
+    assert kernels.pcp_applications(kernels.pair_index(us), vs, x) == \
+        naive_applications(us, vs, x)
 
 
 def test_strict_st_step_matches_reference():
@@ -162,7 +168,7 @@ def test_strict_st_step_matches_reference():
     for _ in range(400):
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
-        assert kernels.st_step(lhs, rhs, w, 0, 3, 16) == \
+        assert first_st_step(lhs, rhs, w, 0, 3, 16) == \
             naive_st_step_strict(lhs, rhs, w), (lhs, rhs, w)
 
 
@@ -171,9 +177,10 @@ def test_pcp_applications_solve_the_yield_equation():
     for _ in range(300):
         us, vs = random_pairs(rng)
         x = bits(rng, 0, 8)
-        assert kernels.pcp_applications(us, vs, x) == \
+        index = kernels.pair_index(us)
+        assert kernels.pcp_applications(index, vs, x) == \
             naive_applications(us, vs, x)
-        assert kernels.pcp_step(us, vs, x, 0, 1, 16, 2) == \
+        assert kernels.pcp_step(index, vs, x, 0, 1, 16, 2) == \
             naive_pcp_step_strict(us, vs, x), (us, vs, x)
 
 
@@ -183,12 +190,13 @@ def test_lookahead_step_is_a_reference_step():
     for _ in range(300):
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
-        kind, y, p, i, _ = kernels.st_step(lhs, rhs, w, 1, 3, 16)
+        kind, y, p, i, _ = first_st_step(lhs, rhs, w, 1, 3, 16)
         if kind == kernels.STEP_UNIQUE:
             assert (p, i) in naive_find_matches(lhs, w)
             assert y == w[:p] + rhs[i] + w[p + len(lhs[i]):]
         us, vs = random_pairs(rng)
-        kind, y, _, i, _ = kernels.pcp_step(us, vs, w, 1, 1, 16, 2)
+        kind, y, _, i, _ = kernels.pcp_step(kernels.pair_index(us), vs, w,
+                                            1, 1, 16, 2)
         if kind == kernels.STEP_UNIQUE:
             assert (i, y) in naive_applications(us, vs, w)
 
@@ -198,7 +206,7 @@ def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
     us, vs = comp.pairs.lhs, comp.pairs.rhs
     x = pcp_encode_input(comp, "1010")
     args = (x, ptf_budget(len(x)), PAPER_POLICY.mode_id, PAPER_POLICY.depth,
-            DEFAULT_MAX_BRANCH, PAPER_POLICY.successor_cap)
+            DEFAULT_MAX_BRANCH, PAPER_POLICY.successor_cap, False, 0)
     want = kernels.pcp_closure(us, vs, *args)
 
     built = []
@@ -231,24 +239,25 @@ def _engine_outputs():
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
         for mode in (0, 1):
-            out.append(kernels.st_step(lhs, rhs, w, mode, 3, 16))
+            out.append(first_st_step(lhs, rhs, w, mode, 3, 16))
     rng = random.Random(2)
     for _ in range(200):
         lhs, rhs = random_system(rng, m=3, max_len=3)
         w = bits(rng, 0, 8)
         for mode in (0, 1):
-            out.append(kernels.st_closure(lhs, rhs, w, 50, mode, 3, 16,
-                                          want_trace=True, work_limit=5000))
+            out.append(kernels.st_closure(kernels.RuleIndex(lhs), rhs, w, 50,
+                                          mode, 3, 16, True, 5000))
     rng = random.Random(3)
     for _ in range(300):
         us, vs = random_pairs(rng)
         x = bits(rng, 0, 8)
+        index = kernels.pair_index(us)
         for mode in (0, 1):
-            out.append(kernels.pcp_step(us, vs, x, mode, 1, 16, 2))
+            out.append(kernels.pcp_step(index, vs, x, mode, 1, 16, 2))
             out.append(kernels.pcp_closure(us, vs, x, 40, mode, 1, 16, 2,
-                                           want_trace=True, work_limit=5000))
+                                           True, 5000))
         # deeper lookahead without a successor cap: longer depth searches
-        out.append(kernels.pcp_step(us, vs, x, 1, 5, 16, 0))
+        out.append(kernels.pcp_step(index, vs, x, 1, 5, 16, 0))
     return out
 
 
@@ -301,7 +310,7 @@ def test_derived_match_lists_equal_a_full_scan(system):
 @example(DERIVE_EXAMPLES[0], 1, True)
 @example(DERIVE_EXAMPLES[1], 1, True)
 @example(DERIVE_EXAMPLES[2], 0, False)
-def test_carried_match_lists_equal_a_full_scan(system, mode, keep_all):
+def test_closure_table_lists_equal_a_full_scan(system, mode, keep_all):
     """Along a closure, the list of each string a step or the lookahead
     expands, whether read from the closure's table, derived or scanned,
     equals a full scan.  keep_all lifts the density limit, so that every
@@ -318,7 +327,7 @@ def test_carried_match_lists_equal_a_full_scan(system, mode, keep_all):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_st_successors", checked)
-        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8)
+        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8, False, 0)
 
 
 def _lists_made(mp):
@@ -350,7 +359,7 @@ def _kept_lists_are_made_once(system, mode):
     lhs = kernels.RuleIndex(sides)
     with pytest.MonkeyPatch.context() as mp:
         made = _lists_made(mp)
-        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8)
+        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8, False, 0)
     counts = Counter(s for s, _ in made)
     assert all(n > lhs.keep_max for s, n in made if counts[s] > 1)
 
@@ -366,17 +375,18 @@ def test_one_closure_derives_each_string_once():
         made = _lists_made(mp)
         out = kernels.st_closure(
             comp.system.index, comp.system.rhs, w, staf_budget(len(w)),
-            LOOKAHEAD8.mode_id, LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH)
+            LOOKAHEAD8.mode_id, LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH, False,
+            0)
     assert out[0] == kernels.CLOSE_TERMINAL and out[2] == 39
     strings = [s for s, _ in made]
     assert len(strings) > 39 and len(set(strings)) == len(strings)
 
 
-def test_dense_match_lists_are_not_carried():
+def test_dense_match_lists_stay_out_of_the_closure_table():
     """A sampled system whose strings hold about 1,700 matches each: the
-    lookahead keeps such lists off its stack, so one closure's allocation
-    peak stays that of rescanning every string (0.29 MB; 18.9 MB when
-    every list is carried), and the outcome is unchanged."""
+    closure's table keeps no such list, so one closure's allocation peak
+    stays that of rescanning every string (about 0.4 MB; 18.9 MB when the
+    table keeps every list), and the outcome is unchanged."""
     rules = (("1", "1"), ("110000110100010111111011100", "10"), ("0", "1"),
              ("10001100", "1"), ("0", "011"), ("10", "0"), ("1", "1"),
              ("00", "0"), ("011", "1"), ("0", "1"), ("111", "1"))
@@ -386,7 +396,7 @@ def test_dense_match_lists_are_not_carried():
     try:
         # staf's closure of the payload "0": budget 7, lookahead depth 8,
         # at most 64 branches
-        out = kernels.st_closure(lhs, rhs, "0", 7, 1, 8, 64, True)
+        out = kernels.st_closure(lhs, rhs, "0", 7, 1, 8, 64, True, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

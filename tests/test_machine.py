@@ -7,7 +7,6 @@ from owflab.machine import (
     Machine,
     MachineParseError,
     library_machine,
-    machine_source,
     parse_machine,
     run,
     step_bound,
@@ -88,10 +87,18 @@ def test_left_move_off_tape_crashes():
     assert isinstance(run(m, "1", 10), Crashed)
 
 
+def machine_text(m):
+    """m written out in the TM v1 format that parse_machine reads."""
+    out = ["TM v1", f"start: {m.start}", f"halt: {m.halt}"]
+    for (q, a), (p, b, d) in sorted(m.transitions.items()):
+        out.append(f"{q} {a} -> {p} {b} {d}")
+    return "\n".join(out) + "\n"
+
+
 @pytest.mark.parametrize("name", LIBRARY_NAMES)
 def test_source_round_trip(name):
     m = library_machine(name)
-    m2 = parse_machine(machine_source(m), name)
+    m2 = parse_machine(machine_text(m), name)
     assert m2.start == m.start and m2.halt == m.halt
     assert m2.transitions == m.transitions
     assert run(m2, "1011", step_bound(4)).output == ORACLES[name]("1011")

@@ -1,15 +1,12 @@
-import random
-
 import pytest
 
 from owflab import kernels
 from owflab.inverter import lemma
-from owflab.machine import LIBRARY_NAMES, library_machine
+from owflab.machine import LIBRARY_NAMES, RIGHT, TAPE_SYMBOLS, library_machine
 from owflab.pcp import (
     PAPER_POLICY,
     PairList,
     compile_pcp,
-    expected_pair_counts,
     pairs_from_text,
     pairs_to_text,
     pcp_decode_output,
@@ -18,7 +15,6 @@ from owflab.pcp import (
     ptf,
     ptf_budget,
     serialize_pcp_instance,
-    verify_witness,
 )
 from owflab.semithue import (DeterminismPolicy, InstanceParseError,
                              parse_instance)
@@ -26,68 +22,17 @@ from owflab.semithue import (DeterminismPolicy, InstanceParseError,
 
 def test_yield_relation_examples():
     g = PairList((("1", "1"), ("10", "01")))
+    us = kernels.pair_index(g.lhs)
     # pair 0: 1·y = x·1 -> rotation of a leading 1
-    succ = kernels.pcp_applications(g.lhs, g.rhs, "10")
+    succ = kernels.pcp_applications(us, g.rhs, "10")
     assert set(succ) == {(0, "01"), (1, "01")}
-    assert kernels.pcp_applications(g.lhs, g.rhs, "0") == []
+    assert kernels.pcp_applications(us, g.rhs, "0") == []
 
 
 def test_yield_shrinking_pair():
     g = PairList((("11", ""),))
-    assert kernels.pcp_applications(g.lhs, g.rhs, "11") == [(0, "")]
-
-
-def test_verify_witness_replay():
-    g = PairList((("1", "1"), ("0", "0")))
-    assert verify_witness(g, "10", [0, 1, 0])
-    assert not verify_witness(g, "10", [1])
-    assert not verify_witness(g, "10", [7])
-
-
-def replay_by_equation(g, x, indices):
-    """The reference for verify_witness: the yield equation u·y = x·v,
-    written out for each index."""
-    for i in indices:
-        if not 0 <= i < len(g.rules):
-            return False
-        u, v = g.rules[i]
-        xv = x + v
-        if len(xv) < len(u) or not xv.startswith(u):
-            return False
-        x = xv[len(u):]
-    return True
-
-
-def test_verify_witness_is_the_yield_equation():
-    rng = random.Random(5)
-
-    def bits(lo, hi):
-        return "".join(rng.choice("01") for _ in range(rng.randint(lo, hi)))
-
-    seen = set()
-    for _ in range(2000):
-        g = PairList(tuple((bits(1, 3), bits(0, 3))
-                           for _ in range(rng.randint(1, 4))))
-        x = bits(0, 6)
-        if rng.random() < 0.5:  # a random sequence, out-of-range included
-            indices = [rng.randint(-1, len(g.rules))
-                       for _ in range(rng.randint(0, 5))]
-        else:  # a witness grown one applicable pair at a time
-            indices, y = [], x
-            for _ in range(rng.randint(1, 5)):
-                ok = [i for i in range(len(g.rules))
-                      if replay_by_equation(g, y, [i])]
-                if not ok:
-                    break
-                i = rng.choice(ok)
-                u, v = g.rules[i]
-                indices.append(i)
-                y = (y + v)[len(u):]
-        want = replay_by_equation(g, x, indices)
-        assert verify_witness(g, x, indices) == want, (g.rules, x, indices)
-        seen.add((want, len(indices) > 1))
-    assert seen == {(True, True), (True, False), (False, True),
-                    (False, False)}
+    assert kernels.pcp_applications(kernels.pair_index(g.lhs), g.rhs,
+                                    "11") == [(0, "")]
 
 
 def test_closure_rotation_cycle_detected():
@@ -129,6 +74,16 @@ def test_serialize_parse_round_trip():
     assert g2.rules == g.rules and payload == "110"
 
 
+def expected_pair_counts(m):
+    """Pair counts (rotation, transition) of compile_pcp(m, n), straight
+    from the schema shapes."""
+    rot = len(TAPE_SYMBOLS)
+    trans = 0
+    for (q, a), (p, b, d) in m.transitions.items():
+        trans += 1 if d == RIGHT else len(TAPE_SYMBOLS)
+    return rot, trans
+
+
 def test_compile_pair_counts():
     for name in ("id", "not"):
         m = library_machine(name)
@@ -157,7 +112,7 @@ def test_left_move_has_two_successors_and_dead_rotation():
     comp = compile_pcp(m, 3)
     w = pcp_encode_input(comp, "101")
     # drive with the paper policy, checking every intermediate state
-    us, vs = comp.pairs.lhs, comp.pairs.rhs
+    us, vs = kernels.pair_index(comp.pairs.lhs), comp.pairs.rhs
     x = w
     seen_choice = False
     for _ in range(ptf_budget(len(w))):

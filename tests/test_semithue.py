@@ -26,9 +26,11 @@ from owflab.semithue import (
 
 
 def step(sys, w, policy):
-    """One kernels.st_step under policy: (status, result)."""
+    """One kernels.st_step under policy, as a closure's first step from w:
+    (status, result)."""
     status, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
-                                         policy.depth, DEFAULT_MAX_BRANCH)
+                                         policy.depth, DEFAULT_MAX_BRANCH,
+                                         len(w), {}, {})
     return status, y
 
 
@@ -85,7 +87,7 @@ def test_closure_work_limit():
     grow = RewriteSystem((("1", "11"),))
     out = closure_outcome(*kernels.st_closure(
         grow.index, grow.rhs, "1", 10**6, LOOKAHEAD8.mode_id,
-        LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH, work_limit=100))
+        LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH, False, 100))
     assert not out.terminal and out.reason == "BudgetExceeded"
 
 
@@ -95,7 +97,7 @@ def test_branch_overflow():
     policy = DeterminismPolicy("lookahead", depth=2)
     out = closure_outcome(*kernels.st_closure(
         sys.index, sys.rhs, "111", 100, policy.mode_id, policy.depth, 1,
-        work_limit=DEFAULT_WORK_LIMIT))
+        False, DEFAULT_WORK_LIMIT))
     assert not out.terminal and out.reason == "BranchOverflow"
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import expected_schema_counts
 from owflab.inverter import lemma
 from owflab.machine import LIBRARY_NAMES, library_machine
 from owflab.semithue import LOOKAHEAD8, det_closure, staf_budget
@@ -7,7 +8,6 @@ from owflab.stcompile import (
     CompileError,
     NOT_FINAL,
     compile_semithue,
-    expected_schema_counts,
     st_decode_output,
     st_encode_input,
 )

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owflab import tiling
+from owflab.bitcodes import gamma_encode
 from owflab.inverter import lemma
 from owflab.machine import LIBRARY_NAMES, library_machine, run, step_bound
 from owflab.tiling import (
@@ -161,6 +163,26 @@ def test_parse_rejects_junk():
         parse_tiling_instance("")
     with pytest.raises(TilingError):
         parse_tiling_instance("1")  # symbol table of size 0
+
+
+@pytest.mark.parametrize("count", [1 << 28, 1 << 64])
+def test_declared_symbol_count_is_not_built(count):
+    """An instance that declares 2^28 symbols (59 bits), or more than
+    len() can measure (131 bits), and has no tiles and an empty row maps
+    to itself without building its symbol table."""
+    w = gamma_encode(count + 1) + gamma_encode(1) + gamma_encode(1)
+    tracemalloc.start()
+    try:
+        assert tiling_f(w) == w
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    # an id outside 0..S-1, negative ones included, is no symbol
+    ts, _ = parse_tiling_instance(w)
+    for bad in (-1, count, "0"):
+        with pytest.raises(KeyError):
+            serialize_tiling_instance(ts, [bad])
 
 
 def test_tiling_f_total_length_preserving():
