@@ -162,6 +162,28 @@ class LimitExceeded:
     attempts: int
 
 
+_DONE = object()
+
+
+def _words(symbols, n: int):
+    """Every n-tuple over symbols, in lexicographic order.  Unlike
+    itertools.product it never copies symbols, which for a parsed tiling
+    target is range(S)."""
+    its = [iter(symbols) for _ in range(n)]
+    word = [next(it) for it in its]
+    while True:
+        yield tuple(word)
+        for j in reversed(range(n)):
+            s = next(its[j], _DONE)
+            if s is not _DONE:
+                word[j] = s
+                break
+            its[j] = iter(symbols)
+            word[j] = next(its[j])
+        else:
+            return
+
+
 def brute_invert(f_kind: str, target: str,
                  policy: DeterminismPolicy | None = None,
                  limit: int = 1 << 20, candidates=None):
@@ -186,19 +208,25 @@ def brute_invert(f_kind: str, target: str,
     except ValueError:  # InstanceParseError, TilingError
         return Found(target, 0)
     # a payload is a bit string, or a tiling row as a list of symbol ids
-    symbols, payload = (("01", "".join) if isinstance(x, str)
-                        else (sys.symbols, list))
+    # over range(S), which is tested and enumerated in place: S may be as
+    # large as 2^|target|
+    if isinstance(x, str):
+        symbols, payload, fits = "01", "".join, set("01").issuperset
+    else:
+        symbols, payload = sys.symbols, list
+
+        def fits(cand):
+            return all(isinstance(s, int) and s in symbols for s in cand)
     if candidates is None:
-        candidates = map(payload, itertools.product(symbols, repeat=len(x)))
+        candidates = map(payload, _words(symbols, len(x)))
     elif callable(candidates):
         candidates = candidates(x)
-    alphabet = set(symbols)
     attempts = 0
     for cand in candidates:
         if attempts >= limit:
             return LimitExceeded(attempts)
         attempts += 1
-        if len(cand) != len(x) or not alphabet.issuperset(cand):
+        if len(cand) != len(x) or not fits(cand):
             continue
         cand = payload(cand)
         y = payload_step(sys, cand, fn.closure, fn.budget, policy)

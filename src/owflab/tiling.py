@@ -7,7 +7,11 @@ the configuration after step i, with the head cell represented by a
 (state, symbol) pair.  Rows advance only while exactly one row of tiles
 matches the previous row's north edges, so planted nondeterminism shows
 up as AmbiguousRow instead of a wrong answer.  Each row is solved exactly
-and iteratively by a dynamic program over columns in O(width·|tiles|).
+and iteratively by a dynamic program over columns: the first row of a
+square in O(width·|tiles|), each later one in O(stretch·|tiles|), where
+the stretch is the run of columns from the first south the last row
+changed to where the program's layers agree with the row before again
+(a few columns for a compiled machine, whose head changes two cells).
 
 States are direction-split during compilation (p becomes p_R or p_L per
 the move direction of the instruction producing it).  Without the split,
@@ -60,6 +64,10 @@ class TileSet:
         for t in self.tiles:
             by_south_west.setdefault((t.south, t.west), []).append(t)
         object.__setattr__(self, "_by_south_west", by_south_west)
+        # next_rows' layer left of column 0: the outer edges are free, so
+        # one (empty) prefix ends at every west edge (a value, not None)
+        object.__setattr__(self, "_start",
+                           dict.fromkeys([t.west for t in self.tiles], True))
 
 
 @dataclass(frozen=True)
@@ -134,39 +142,95 @@ def bottom_row(m: Machine, x: str):
 
 # --- evaluator ------------------------------------------------------------
 
-def next_rows(ts: TileSet, souths):
+class LastRow:
+    """What next_rows keeps of the row it solved last, so that it can
+    solve a row that differs from it in a stretch of columns: the forward
+    layers (None before the first solve and after a stall), the count,
+    and the tile row (a list, None unless the count is 1).  Before the
+    next call the caller sets lo and hi, the first and last column whose
+    south it changed; next_rows sets span, the columns whose tile it
+    chose anew (outside them the row is the last one)."""
+
+    __slots__ = ("layers", "count", "row", "lo", "hi", "span")
+
+    def __init__(self):
+        self.layers = self.row = None
+        self.count, self.lo, self.hi, self.span = 0, 0, 0, range(0)
+
+
+def next_rows(ts: TileSet, souths, last: LastRow | None = None):
     """Count the tile rows whose south edges equal `souths` and whose
     east/west edges agree between neighbors (outer edges free).
 
     Returns (count, row): count is 0, 1 or 2 (2 means two or more), and
     row is the tile tuple when count == 1, else None.  The forward pass
-    maps each column's east-edge symbols to (number of row prefixes
-    ending there, saturated at 2; the last tile); column 0 starts from
-    every west edge, since the outer edges are free.  The backward pass
-    follows west edges from the single end state.  O(width·|tiles|).
+    maps each column's east-edge symbols to the last tile of the one row
+    prefix ending there, or to None when two or more do; column 0 starts
+    from every west edge, since the outer edges are free.  The backward
+    pass follows west edges from the single end tile.  O(width·|tiles|).
+
+    With `last`, the row is solved from the one before: the forward pass
+    restarts at column last.lo and stops at the first column past last.hi
+    whose layer is the one stored (every later layer, and the count, are
+    then the stored ones too); the backward pass stops below last.lo at
+    the first tile the stored row has, since the prefix is then the same.
+    The row comes back as last.row, a list that the next call rewrites.
     """
     if not souths:
         return 1, ()
+    fresh = last is None
+    if fresh:
+        last = LastRow()
     index = ts._by_south_west
-    prev = dict.fromkeys({t.west for t in ts.tiles}, (1, None))
-    layers = []
-    for s in souths:
+    width = len(souths)
+    layers = last.layers
+    if layers is None or len(layers) != width:
+        layers, lo, hi, row = [None] * width, 0, width, None
+    else:
+        lo, hi, row = last.lo, last.hi, last.row
+    prev = layers[lo - 1] if lo else ts._start
+    stop = width
+    for j in range(lo, width):
+        s = souths[j]
         layer = {}
-        for w, (count, _) in prev.items():
+        for w, before in prev.items():
             for t in index.get((s, w), ()):
-                old = layer.get(t.east)
-                layer[t.east] = (min(2, old[0] + count) if old else count, t)
+                e = t.east
+                layer[e] = None if before is None or e in layer else t
         if not layer:
+            last.layers = None
             return 0, None
-        layers.append(layer)
-        prev = layer
-    ends = list(prev.values())
-    if len(ends) > 1 or ends[0][0] > 1:
-        return 2, None
-    row = [ends[0][1]]
-    for layer in reversed(layers[:-1]):
-        row.append(layer[row[-1].west][1])
-    return 1, tuple(reversed(row))
+        if j > hi and layer == layers[j]:
+            stop = j
+            break
+        layers[j] = prev = layer
+    if stop == width:
+        ends = list(prev.values())
+        count = 1 if len(ends) == 1 and ends[0] is not None else 2
+    else:
+        count = last.count
+    if count == 1:
+        if row is None:
+            row, lo = [None] * width, 0
+        j = stop - 1
+        if stop == width:
+            row[j] = t = ends[0]
+            j -= 1
+        else:
+            t = row[stop]
+        while j >= 0:
+            u = layers[j][t.west]
+            if j < lo and u is row[j]:
+                break
+            row[j] = t = u
+            j -= 1
+    else:
+        row, j = None, stop - 1
+    last.layers, last.count, last.row = layers, count, row
+    last.span = range(j + 1, stop)
+    if fresh:
+        return count, (tuple(row) if count == 1 else None)
+    return count, row
 
 
 def tile_closure(ts: TileSet, bottom, height: int):
@@ -174,20 +238,26 @@ def tile_closure(ts: TileSet, bottom, height: int):
 
     A row equal to the one below it is a fixed point: the next row is a
     function of the row alone, so every later row would be the same.
+    Each row after the first is solved from the one before (next_rows
+    with a LastRow), and only the columns it re-chose are compared and
+    copied: elsewhere its norths are the last row's, which are the souths.
     """
     if height < 1:
         raise TilingError("height must be >= 1")
     souths = list(bottom)
+    last = LastRow()
     for i in range(1, height):
-        count, row = next_rows(ts, souths)
+        count, row = next_rows(ts, souths, last)
         if count == 0:
             return Stalled(i)
         if count > 1:
             return AmbiguousRow(i)
-        norths = [t.north for t in row]
-        if norths == souths:
+        changed = [j for j in last.span if row[j].north != souths[j]]
+        if not changed:
             break
-        souths = norths
+        for j in changed:
+            souths[j] = row[j].north
+        last.lo, last.hi = changed[0], changed[-1]
     return Completed(tuple(souths))
 
 
@@ -218,7 +288,7 @@ def serialize_tiling_instance(ts: TileSet, row) -> str:
         # a parsed table, range(S): each symbol is its own id, and S may
         # be far too large to build the table or take its len()
         count = syms.stop
-        ids = {s: s for s in (*edges, *row)
+        ids = {s: s for s in {*edges, *row}
                if isinstance(s, int) and s in syms}
     else:
         count = len(syms)
@@ -250,26 +320,26 @@ def parse_tiling_instance(bits: str):
     t_count -= 1
     w = _id_width(s_count)
 
-    def take_id():
+    def take_ids(count):
+        # the length is checked before anything is built, so a huge
+        # declared count fails here at once
         nonlocal pos
-        if pos + w > len(bits):
+        end = pos + count * w
+        if end > len(bits):
             raise TilingError("truncated symbol id")
-        v = int(bits[pos : pos + w], 2)
-        if v >= s_count:
+        ids = [int(bits[i : i + w], 2) for i in range(pos, end, w)]
+        if ids and max(ids) >= s_count:
             raise TilingError("symbol id out of range")
-        pos += w
-        return v
+        pos = end
+        return ids
 
-    tiles = []
-    for _ in range(t_count):
-        n, e, s, ww = take_id(), take_id(), take_id(), take_id()
-        tiles.append(Tile(n, s, e, ww))
+    ids = iter(take_ids(4 * t_count))
+    tiles = [Tile(n, s, e, ww) for n, e, s, ww in zip(ids, ids, ids, ids)]
     got = gamma_decode(bits, pos)
     if got is None:
         raise TilingError("truncated row length")
     r_len, pos = got
-    r_len -= 1
-    row = [take_id() for _ in range(r_len)]
+    row = take_ids(r_len - 1)
     if pos != len(bits):
         raise TilingError("trailing bits after instance")
     return TileSet(range(s_count), tuple(tiles)), row

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owflab import inverter, kernels, pcp, semithue
+from owflab.bitcodes import gamma_encode
 from owflab.inverter import (
     CSV_COLUMNS,
     Found,
@@ -74,6 +76,20 @@ def test_bad_tiling_candidates_are_skipped():
     out = brute_invert("tiling", target,
                        candidates=iter([[0, 5], [0, 2], [0], [0, 1]]))
     assert out == Found(target, 4)
+
+
+@pytest.mark.parametrize("count", [1 << 18, 1 << 28])
+def test_default_tiling_candidates_do_not_build_the_symbol_table(count):
+    # no tiles and an empty row: the one candidate is the empty row, over
+    # a table of 2^18 or 2^28 symbols that is never copied
+    target = gamma_encode(count + 1) + gamma_encode(1) + gamma_encode(1)
+    tracemalloc.start()
+    try:
+        assert brute_invert("tiling", target) == Found(target, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def _reference_invert(f, parse, serialize, target, candidates, limit):

@@ -13,6 +13,8 @@ from owflab.machine import LIBRARY_NAMES, library_machine, run, step_bound
 from owflab.tiling import (
     AmbiguousRow,
     Completed,
+    LastRow,
+    Stalled,
     Tile,
     TileSet,
     TilingError,
@@ -76,6 +78,116 @@ def test_next_rows_matches_brute_force():
         souths = [rng.randrange(k) for _ in range(rng.randint(0, 8))]
         assert next_rows(ts, souths) == brute_force_rows(ts, souths), (
             ts, souths)
+
+
+def changed_columns(rng, width):
+    """Columns to rewrite: column 0, the last column, every column, one
+    random column, or a random set of them."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        return [0]
+    if pick == 1:
+        return [width - 1]
+    if pick == 2:
+        return list(range(width))
+    if pick == 3:
+        return [rng.randrange(width)]
+    return sorted(rng.sample(range(width), rng.randint(1, width)))
+
+
+def test_incremental_rows_equal_a_fresh_solve():
+    # one LastRow carried through a sequence of rows, each differing from
+    # the one before at random columns: every answer is the fresh one, and
+    # outside last.span the unique row is the one solved before it
+    rng = random.Random(17)
+    for _ in range(3000):
+        k = rng.randint(1, 3)
+        tiles = {Tile(*(rng.randrange(k) for _ in range(4)))
+                 for _ in range(rng.randint(1, 6))}
+        ts = TileSet(tuple(range(k)), tuple(tiles))
+        width = rng.randint(1, 9)
+        souths = [rng.randrange(k) for _ in range(width)]
+        last, before = LastRow(), None
+        for _ in range(8):
+            count, row = next_rows(ts, souths, last)
+            want = next_rows(ts, souths)
+            got = (count, tuple(row) if count == 1 else None)
+            assert got == want, (ts, souths)
+            if count == 1 and before is not None:
+                assert all(row[j] is before[j] for j in range(width)
+                           if j not in last.span)
+            before = tuple(row) if count == 1 else None
+            cols = changed_columns(rng, width)
+            for j in cols:
+                souths[j] = rng.randrange(k)
+            last.lo, last.hi = cols[0], cols[-1]
+
+
+def fresh_closure(ts, bottom, height):
+    """tile_closure with every row solved afresh."""
+    souths = list(bottom)
+    for i in range(1, height):
+        count, row = next_rows(ts, souths)
+        if count == 0:
+            return Stalled(i)
+        if count > 1:
+            return AmbiguousRow(i)
+        norths = [t.north for t in row]
+        if norths == souths:
+            break
+        souths = norths
+    return Completed(tuple(souths))
+
+
+def test_tile_closure_equals_the_fresh_closure():
+    rng = random.Random(18)
+    for _ in range(2000):
+        k = rng.randint(1, 3)
+        tiles = {Tile(*(rng.randrange(k) for _ in range(4)))
+                 for _ in range(rng.randint(1, 6))}
+        ts = TileSet(tuple(range(k)), tuple(tiles))
+        bottom = [rng.randrange(k) for _ in range(rng.randint(0, 9))]
+        height = rng.randint(1, 12)
+        assert (tile_closure(ts, bottom, height)
+                == fresh_closure(ts, bottom, height)), (ts, bottom)
+    for name in LIBRARY_NAMES:
+        m = library_machine(name)
+        ts = compile_tileset(m)
+        for n in range(1, 7):
+            for k in range(1 << n):
+                row = bottom_row(m, format(k, f"0{n}b"))
+                assert (tile_closure(ts, row, len(row))
+                        == fresh_closure(ts, row, len(row)))
+
+
+@pytest.mark.parametrize("width, top", [(3, (0, 0, 0)), (4, (1, 1, 1, 1))])
+def test_period_two_square_runs_every_row(width, top):
+    # rows alternate 0…0 and 1…1 and no row repeats the one below it, so
+    # the square's top row depends on the parity of its height
+    ts = TileSet((0, 1), (Tile(1, 0, 0, 0), Tile(0, 1, 0, 0)))
+    assert tile_closure(ts, [0] * width, width) == Completed(top)
+
+
+def test_compiled_rows_re_solve_few_columns(monkeypatch):
+    # a compiled machine's head changes two adjacent cells per row, so
+    # every row after the first re-chooses the tiles of a few columns
+    spans = []
+
+    def counted(ts, souths, last=None):
+        out = next_rows(ts, souths, last)
+        spans.append(len(last.span))
+        return out
+
+    monkeypatch.setattr(tiling, "next_rows", counted)
+    for name in LIBRARY_NAMES:
+        m = library_machine(name)
+        ts = compile_tileset(m)
+        for x in ("1011", format(random.Random(32).getrandbits(32), "032b")):
+            row = bottom_row(m, x)
+            spans.clear()
+            assert isinstance(tile_closure(ts, row, len(row)), Completed)
+            assert spans[0] == len(row)
+            assert max(spans[1:]) <= 3, spans
 
 
 @pytest.mark.parametrize("name", LIBRARY_NAMES)
@@ -165,6 +277,38 @@ def test_parse_rejects_junk():
         parse_tiling_instance("1")  # symbol table of size 0
 
 
+def test_parse_rejects_malformed_ids():
+    # three symbols, so ids are 2 bits wide and "11" is out of range
+    head = gamma_encode(4)
+    tile = "00" "01" "10" "00"
+    for bits in [
+        head + gamma_encode(2) + "00" "11" "00" "00" + gamma_encode(1),
+        head + gamma_encode(2) + tile + gamma_encode(3) + "10" "11",
+        head + gamma_encode(2) + tile[:-1],  # truncated tile id
+        head + gamma_encode(2) + tile + gamma_encode(3) + "10" "1",
+        head + gamma_encode(2) + tile + gamma_encode(2) + "10" "0",
+        head + gamma_encode(3) + tile,  # a second tile declared, none given
+    ]:
+        with pytest.raises(TilingError):
+            parse_tiling_instance(bits)
+    assert parse_tiling_instance(
+        head + gamma_encode(2) + tile + gamma_encode(2) + "10") == (
+        TileSet(range(3), (Tile(0, 2, 1, 0),)), [2])
+    # a huge declared tile or row count fails on the length, building
+    # nothing
+    tracemalloc.start()
+    try:
+        for bits in [head + gamma_encode((1 << 60) + 1) + tile,
+                     head + gamma_encode(1) + gamma_encode((1 << 60) + 1)
+                     + "10"]:
+            with pytest.raises(TilingError):
+                parse_tiling_instance(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
 @pytest.mark.parametrize("count", [1 << 28, 1 << 64])
 def test_declared_symbol_count_is_not_built(count):
     """An instance that declares 2^28 symbols (59 bits), or more than
@@ -214,9 +358,9 @@ def test_tile_closure_stops_at_a_fixed_point(monkeypatch):
         souths = [t.north for t in solved]
     calls = []
 
-    def counted(ts, souths):
+    def counted(ts, souths, *rest):
         calls.append(len(souths))
-        return next_rows(ts, souths)
+        return next_rows(ts, souths, *rest)
 
     monkeypatch.setattr(tiling, "next_rows", counted)
     assert tile_closure(ts, row, height) == Completed(tuple(souths))
