@@ -14,7 +14,7 @@ def gamma_encode(n: int) -> str:
     return "0" * (len(b) - 1) + b
 
 
-def gamma_decode(bits: str, pos: int = 0) -> tuple[int, int] | None:
+def gamma_decode(bits: str, pos: int) -> tuple[int, int] | None:
     """Decode one gamma code starting at `pos`.
 
     Returns (value, next_pos), or None if `bits` does not hold a complete

@@ -48,7 +48,7 @@ def _make_code(value: int, m: int) -> str:
     return "001" + "".join(d + "1" for d in payload) + "11"
 
 
-def build_code_table(alphabet, n: int, salt_seed: int = 0) -> CodeTable:
+def build_code_table(alphabet, n: int, salt_seed: int) -> CodeTable:
     """Build a code table for `alphabet` with payload length bound n.
 
     The codes take |alphabet| consecutive counter values starting at the

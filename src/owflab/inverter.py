@@ -251,7 +251,7 @@ def staf_target(comp, x: str) -> str:
     return staf(serialize_instance(comp.system, staf_payload(comp, x)))
 
 
-def invert_staf_target(comp, target: str, limit: int = 1 << 20):
+def invert_staf_target(comp, target: str, limit: int):
     """brute_invert over the 2ⁿ well-formed payload encodings, n read from
     the length of the target's payload."""
     def cands(y):
@@ -292,7 +292,7 @@ CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
 def owf_experiment(machine, ns, targets_per_n: int, seed: int,
-                   limit: int = 1 << 22, jobs: int = 1):
+                   limit: int, jobs: int):
     """Forward/inverse cost measurement for the rewrite-system function.
 
     Compiles machine once per n in ns, before any sampling, so a machine

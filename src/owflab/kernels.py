@@ -24,6 +24,10 @@ the deepest-survivor rule suffices: measure each candidate's longest
 derivation, capped at depth+1, and keep the step only when one candidate
 strictly outlives the rest.
 
+A scan reports the matches that start in given bounds.  Left sides that
+share a long prefix, as compiled ones do, are found by one search for it,
+each hit looked up in a table of the sides behind it (RuleIndex).
+
 A rewrite step changes one window of its string, so the match list of a
 successor is derived from its parent's (_st_derive): the matches before
 the window are kept, those after it are shifted, and only the window is
@@ -47,6 +51,7 @@ as the work of the step that makes them.
 from __future__ import annotations
 
 from bisect import bisect_left
+from os.path import commonprefix
 
 STEP_UNIQUE = 0
 STEP_STUCK = 1
@@ -105,84 +110,89 @@ def _close(step, w, budget, want_trace, work_limit):
 
 # --- semi-Thue ------------------------------------------------------------
 
-# A group prefix shorter than this hits so often in a bit string that
-# checking every hit costs more than the scans it saves (measured on the
-# sampled systems, whose sides are a few characters long)
+# An anchor shorter than this hits so often in a bit string that checking
+# every hit costs more than the finds it saves (measured on the sampled
+# systems, whose sides are a few characters long): sides that differ within
+# their first _SHARED_MIN characters never share an anchor
 _SHARED_MIN = 8
 
 
 class RuleIndex(tuple):
-    """The left-hand sides, grouped so that one scan serves several rules.
+    """The left-hand sides, as needles that one find each serves.
 
-    Rules are grouped by their first k characters, k the length of the
-    shortest side.  A group whose members share a prefix of at least
-    _SHARED_MIN characters is searched once for that prefix, and at each
-    hit the string's next n characters are looked up in the group's table
-    of sides of length n, one table per length among its members; the
-    members of any other group are searched side by side, identical sides
-    sharing one scan.  A needle with a single member is a lone rule.
+    The distinct sides are sorted, and the sorted list is cut wherever two
+    neighbours differ within their first _SHARED_MIN characters.  A run of
+    two or more sides is one needle: its anchor, the run's common prefix,
+    is found once, and at each hit the string's next h characters, h the
+    length of the run's shortest side, are looked up in the run's table of
+    heads, which leads to the run's sides by length.  Every other side is a
+    lone needle; a repeated side is found once, with all its rule indices.
 
     longest is the length of the longest side, which bounds how far before
     a rewritten window a match can start and still overlap it.  A closure
     keeps a match list in its table only while it holds at most keep_max
-    matches, one per needle: a denser list is dropped and its successors
-    are scanned afresh, so that the table never holds long lists.
+    matches, one per head (a lone side or a head of a run): a denser list
+    is dropped and its successors are scanned afresh, so that the table
+    never holds long lists.
     """
 
     def __new__(cls, lhs):
         self = super().__new__(cls, lhs)
-        k = min(map(len, self), default=0)
-        groups = {}
+        rules = {}
         for i, g in enumerate(self):
-            groups.setdefault(g[:k], []).append(i)
-        needles = {}
-        for members in groups.values():
-            if len(members) > 1:
-                sides = [self[i] for i in members]
-                first, last = min(sides), max(sides)
-                n = k
-                while n < len(first) and first[n] == last[n]:
-                    n += 1
-                if n >= _SHARED_MIN:
-                    needles[first[:n]] = members
-                    continue
-            for i in members:
-                needles.setdefault(self[i], []).append(i)
+            rules.setdefault(g, []).append(i)
+        runs = []
+        for g in sorted(rules):
+            last = runs[-1][-1] if runs else ""
+            if len(g) >= _SHARED_MIN and g[:_SHARED_MIN] == last[:_SHARED_MIN]:
+                runs[-1].append(g)
+            else:
+                runs.append([g])
         # lists, not tuple(iterator): a tuple grown from an iterator is
         # resized, and the interpreter's per-size tuple free lists then keep
         # thousands of the resized tuples for the life of the process
-        self.lone = []  # (rule, index)
-        self.shared = []  # (needle, [(length, {rule: [index, ...]}), ...])
-        for needle, members in needles.items():
-            if len(members) == 1:
-                self.lone.append((needle, members[0]))
-            else:
-                by_len = {}
-                for i in members:
-                    by_len.setdefault(len(self[i]), {}).setdefault(
-                        self[i], []).append(i)
-                self.shared.append((needle, list(by_len.items())))
+        self.lone = []  # (side, [index, ...])
+        # (anchor, h, {head: [(length, {side: [index, ...]}), ...]})
+        self.shared = []
+        self.keep_max = 0
+        for run in runs:
+            if len(run) == 1:
+                self.lone.append((run[0], rules[run[0]]))
+                self.keep_max += 1
+                continue
+            h = min(map(len, run))
+            heads = {}
+            for g in run:
+                heads.setdefault(g[:h], {}).setdefault(len(g), {})[g] = \
+                    rules[g]
+            # sorted, so the first and last side share what all share
+            self.shared.append((commonprefix((run[0], run[-1])), h, {
+                head: list(by_len.items()) for head, by_len in heads.items()}))
+            self.keep_max += len(heads)
         self.longest = max(map(len, self), default=0)
-        self.keep_max = len(needles)
         return self
 
 
-def _scan(lhs, w):
-    """All (position, rule index) pairs of w, sorted."""
+def _scan(lhs, w, lo, hi):
+    """The (position, rule index) pairs of w that start in [lo, hi),
+    sorted."""
     out = []
     find = w.find
-    for g, i in lhs.lone:
-        p = find(g)
+    for g, rules in lhs.lone:
+        end = hi + len(g) - 1
+        p = find(g, lo, end)
         while p >= 0:
-            out.append((p, i))
-            p = find(g, p + 1)
-    for prefix, members in lhs.shared:
-        p = find(prefix)
+            for i in rules:
+                out.append((p, i))
+            p = find(g, p + 1, end)
+    for anchor, h, heads in lhs.shared:
+        end = hi + len(anchor) - 1
+        p = find(anchor, lo, end)
         while p >= 0:
-            for n, rules in members:
-                for i in rules.get(w[p:p + n], ()):
+            for n, sides in heads.get(w[p:p + h], ()):
+                for i in sides.get(w[p:p + n], ()):
                     out.append((p, i))
-            p = find(prefix, p + 1)
+            p = find(anchor, p + 1, end)
     out.sort()
     return out
 
@@ -190,7 +200,7 @@ def _scan(lhs, w):
 def st_find_matches(lhs, w):
     """All (position, rule index) pairs of the RuleIndex lhs in w, sorted
     by (position, rule): a full scan."""
-    return _scan(lhs, w)
+    return _scan(lhs, w, 0, len(w))
 
 
 def _st_derive(lhs, w, matches, p, i, y):
@@ -201,20 +211,15 @@ def _st_derive(lhs, w, matches, p, i, y):
     by p, inside the prefix the two share; one of w that starts at or after
     p + |lhs_i| lies in the suffix they share, which sits |y| - |w| further
     along in y.  The matches of y that start in the window between,
-    [lo, p + |rhs_i|), are found by scanning the window and the
-    longest - 1 characters after it, or all of y when that covers it.
+    [lo, p + |rhs_i|), are found by a scan of y bounded to that window.
     """
     a = len(lhs[i])
     d = len(y) - len(w)
     lo = max(0, p - lhs.longest + 1)
-    span = p + a + d - lo
-    if lo == 0 and span + lhs.longest > len(y):
-        return _scan(lhs, y)
     head = bisect_left(matches, (lo,))
     tail = bisect_left(matches, (p + a,), head)
     out = matches[:head]
-    window = y[lo:lo + span + lhs.longest - 1]
-    out += [(q + lo, j) for q, j in _scan(lhs, window) if q < span]
+    out += _scan(lhs, y, lo, p + a + d)
     out += [(q + d, j) for q, j in matches[tail:]] if d else matches[tail:]
     return out
 

@@ -128,7 +128,7 @@ def run(m: Machine, x: str, budget: int):
 
 # --- machine file format -------------------------------------------------
 
-def parse_machine(text: str, name: str = "<anonymous>") -> Machine:
+def parse_machine(text: str, name: str) -> Machine:
     """Parse the TM v1 text format.
 
     TM v1

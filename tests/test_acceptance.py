@@ -228,7 +228,7 @@ def test_acceptance_8_inversion():
         comp = compile_semithue(m, n)
         x = format(rng.getrandbits(n), f"0{n}b")
         target = staf_target(comp, x)
-        out = invert_staf_target(comp, target)
+        out = invert_staf_target(comp, target, 1 << 20)
         if not isinstance(out, Found):
             sound = False
             continue
@@ -258,7 +258,7 @@ def test_acceptance_8_inversion():
     attempts = []
     for _ in range(60):
         x = format(rng.getrandbits(n), f"0{n}b")
-        out = invert_staf_target(comp, staf_target(comp, x))
+        out = invert_staf_target(comp, staf_target(comp, x), 1 << 20)
         assert isinstance(out, Found)
         attempts.append(out.attempts)
     mean = statistics.fmean(attempts)
@@ -278,7 +278,7 @@ def test_acceptance_8_inversion():
         fwds.append(time.perf_counter() - t0)
     fwd = statistics.median(fwds)
     t0 = time.perf_counter()
-    out = invert_staf_target(comp12, target)
+    out = invert_staf_target(comp12, target, 1 << 20)
     inv = time.perf_counter() - t0
     ratio = inv / fwd
     speed_ok = isinstance(out, Found) and ratio >= 100

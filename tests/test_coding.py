@@ -70,7 +70,7 @@ def test_block_decompose_known():
 
 
 def test_code_shape_and_lengths():
-    t = build_code_table(ALPHABET, 8)
+    t = build_code_table(ALPHABET, 8, 0)
     assert len(t.codes) == len(ALPHABET)
     for c in t.codes.values():
         assert c.startswith("001") and c.endswith("11")
@@ -81,7 +81,7 @@ def test_code_shape_and_lengths():
 
 
 def test_encode_decode_round_trip():
-    t = build_code_table(ALPHABET, 8)
+    t = build_code_table(ALPHABET, 8, 0)
     syms = ["$", "s", "1", "0", "B", "$"]
     assert decode(t, encode(t, syms)) == syms
     with pytest.raises(CodingError):
@@ -91,7 +91,7 @@ def test_encode_decode_round_trip():
 
 
 def test_properties_hold_on_decomposable_payloads():
-    t = build_code_table(ALPHABET, 64)
+    t = build_code_table(ALPHABET, 64, 0)
     assert _properties(t, "110100", "0001") == (True, True, True, True)
     # a payload that does not decompose fails no property of the codes
     assert _properties(t, "110100", "00") == (True, True, True, True)
@@ -99,7 +99,7 @@ def test_properties_hold_on_decomposable_payloads():
 
 def test_property2_can_fail_but_structural_never(seeded=7):
     rng = random.Random(seeded)
-    t = build_code_table(ALPHABET, 256)
+    t = build_code_table(ALPHABET, 256, 0)
     hits = 0
     for _ in range(300):
         x = format(rng.getrandbits(256), "0256b")
@@ -120,11 +120,11 @@ def test_salt_seed_reproducible():
 
 def test_build_rejects_bad_alphabets():
     with pytest.raises(CodingError):
-        build_code_table(("a", "b"), 8)
+        build_code_table(("a", "b"), 8, 0)
     with pytest.raises(CodingError):
-        build_code_table(("a", "b", "a"), 8)
+        build_code_table(("a", "b", "a"), 8, 0)
     with pytest.raises(CodingError):
-        build_code_table(ALPHABET, 0)
+        build_code_table(ALPHABET, 0, 0)
 
 
 @settings(max_examples=40)

@@ -36,6 +36,10 @@ from owflab.tiling import (
     tiling_f,
 )
 
+# the attempt limit of the machine-targeted inversions below: no case here
+# comes near it
+LIMIT = 1 << 20
+
 
 def test_brute_invert_unparseable_target_is_fixed_point():
     assert brute_invert("staf", "00") == Found("00", 0)
@@ -204,7 +208,7 @@ def test_staf_target_attempt_rank():
     comp = compile_semithue(m, 6)
     for x in ("000000", "000101", "110011"):
         target = staf_target(comp, x)
-        out = invert_staf_target(comp, target)
+        out = invert_staf_target(comp, target, LIMIT)
         assert isinstance(out, Found)
         assert out.attempts == int(x, 2) + 1
         _, payload = parse_instance(out.preimage)
@@ -224,17 +228,17 @@ def test_machine_targeted_inversion_parses_the_target_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(semithue, "parse_instance", counting)
-    assert invert_staf_target(comp, unevaluated) == NotFound(16)
+    assert invert_staf_target(comp, unevaluated, LIMIT) == NotFound(16)
     assert len(parses) == 1
     # the second parse is the confirming staf call's
-    assert invert_staf_target(comp, image) == Found(unevaluated, 16)
+    assert invert_staf_target(comp, image, LIMIT) == Found(unevaluated, 16)
     assert len(parses) == 3
 
 
 def test_machine_targeted_inversion_of_unparseable_target():
     comp = compile_semithue(library_machine("not"), 4)
-    assert invert_staf_target(comp, "00") == Found("00", 0)
-    assert invert_staf_target(comp, "00") == brute_invert("staf", "00")
+    assert invert_staf_target(comp, "00", LIMIT) == Found("00", 0)
+    assert invert_staf_target(comp, "00", LIMIT) == brute_invert("staf", "00")
 
 
 def test_undecomposable_input_is_staf_fixed_point():
@@ -243,7 +247,7 @@ def test_undecomposable_input_is_staf_fixed_point():
     x = "00101"  # leading zero run of 2: does not decompose
     w = serialize_instance(comp.system, staf_payload(comp, x))
     assert staf(w) == w
-    out = invert_staf_target(comp, w)
+    out = invert_staf_target(comp, w, LIMIT)
     assert isinstance(out, Found)
     assert out.preimage == w
 
@@ -251,7 +255,7 @@ def test_undecomposable_input_is_staf_fixed_point():
 def test_experiment_rows_and_csv(monkeypatch):
     monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 20)
     m = library_machine("not")
-    rows = owf_experiment(m, [4], 2, seed=9)
+    rows = owf_experiment(m, [4], 2, 9, LIMIT, 1)
     assert len(rows) == 2
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
@@ -267,7 +271,7 @@ def test_experiment_rows_and_csv(monkeypatch):
 def test_experiment_jobs_parallel_matches_sequential(monkeypatch):
     monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 5)
     m = library_machine("not")
-    seq = owf_experiment(m, [4], 2, seed=5)
-    par = owf_experiment(m, [4], 2, seed=5, jobs=2)
+    seq = owf_experiment(m, [4], 2, 5, LIMIT, 1)
+    par = owf_experiment(m, [4], 2, 5, LIMIT, 2)
     assert [(r.n, r.attempts, r.found) for r in seq] == \
         [(r.n, r.attempts, r.found) for r in par]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from owflab import kernels
 from owflab.inverter import staf_payload
-from owflab.machine import library_machine
+from owflab.machine import LIBRARY_NAMES, library_machine
 from owflab.pcp import PAPER_POLICY, compile_pcp, pcp_encode_input, ptf_budget
 from owflab.semithue import DEFAULT_MAX_BRANCH, LOOKAHEAD8, staf_budget
 from owflab.stcompile import compile_semithue
@@ -144,6 +144,51 @@ def test_st_find_matches_equals_sliding_window(system):
     sides, w = system
     assert kernels.st_find_matches(kernels.RuleIndex(sides), w) == \
         naive_find_matches(sides, w)
+
+
+@st.composite
+def bounded_scans(draw):
+    """systems_and_strings with a stretch lo <= hi of the string's start
+    positions, as a derivation scans."""
+    sides, w = draw(systems_and_strings())
+    hi = draw(st.integers(0, len(w)))
+    return sides, w, draw(st.integers(0, hi)), hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(bounded_scans())
+# anchor hits at hi - 1 (a match) and at hi (a match left out)
+@example((["0000000001", "00000000001"], "0" * 12 + "1", 0, 3))
+# the run's shortest side is its anchor
+@example((["10101010", "1010101011"], "1010101011010101010", 0, 12))
+# a side that is a prefix of another side of the run
+@example((["1100110010", "110011001011", "1100110011"],
+          "11001100101101100110011", 0, 23))
+# repeated sides, a run and a lone side
+@example((["1100110010", "0110", "1100110010", "0110", "1100110011"],
+          "011001100101100110011", 0, 21))
+# sides longer than the string
+@example((["101010101010", "10101010111", "10"], "1010101", 0, 7))
+@example((["0110101101", "01101011", "1"], "0110101101", 2, 2))  # lo == hi
+def test_bounded_scan_keeps_the_matches_that_start_in_bounds(scan):
+    sides, w, lo, hi = scan
+    assert kernels._scan(kernels.RuleIndex(sides), w, lo, hi) == \
+        [(q, i) for q, i in naive_find_matches(sides, w) if lo <= q < hi]
+
+
+@pytest.mark.parametrize("name", LIBRARY_NAMES)
+def test_compiled_systems_scan_one_anchor(name):
+    """Every compiled left side shares the code table's prefix, so the
+    index of a library machine's system is one needle, and a closure keeps
+    a list of up to one match per distinct head (13 for not at n = 7)."""
+    for n in range(4, 13):
+        sides = compile_semithue(library_machine(name), n).system.lhs
+        lhs = kernels.RuleIndex(sides)
+        assert not lhs.lone and len(lhs.shared) == 1, (name, n)
+        h = min(map(len, sides))
+        assert lhs.keep_max == len({g[:h] for g in sides}), (name, n)
+    assert kernels.RuleIndex(
+        compile_semithue(library_machine("not"), 7).system.lhs).keep_max == 13
 
 
 @settings(max_examples=400, deadline=None)

@@ -106,17 +106,17 @@ def test_source_round_trip(name):
 
 def test_parse_machine_errors():
     with pytest.raises(MachineParseError, match="header"):
-        parse_machine("nope\n")
+        parse_machine("nope\n", "t")
     with pytest.raises(MachineParseError, match="start"):
-        parse_machine("TM v1\nhalt: h\ns 0 -> h 0 R\n")
+        parse_machine("TM v1\nhalt: h\ns 0 -> h 0 R\n", "t")
     with pytest.raises(MachineParseError, match="duplicate"):
         parse_machine("TM v1\nstart: s\nhalt: h\n"
                       "s 0 -> h 0 R\ns 0 -> h 1 R\n"
-                      "s 1 -> h 1 R\ns B -> h B R\n")
+                      "s 1 -> h 1 R\ns B -> h B R\n", "t")
 
 
 def test_parse_machine_comments_and_blanks():
     text = ("TM v1\n# a comment\nstart: s\nhalt: h\n\n"
             "s 0 -> h 0 R  # trailing\ns 1 -> h 1 R\ns B -> h B R\n")
-    m = parse_machine(text)
+    m = parse_machine(text, "t")
     assert run(m, "01", step_bound(2)).output == "01"
