@@ -1,8 +1,9 @@
 """The engine: rewrite/yield steps and deterministic closures.
 
-Status codes:
-  step kind:      0 unique, 1 stuck, 2 ambiguous, 3 branch overflow
-  closure status: 0 terminal, 1 ambiguous, 2 budget exceeded, 3 overflow
+Stop reasons: a step's kind is the reason its closure stops there, or
+None when the step is unique and the closure goes on.  "" is stuck, which
+is terminal; "Ambiguous" and "BranchOverflow" are the step's; _close adds
+"BudgetExceeded".  The closure's ClosureOutcome carries the reason.
 
 Lookahead pruning differs between the two relations, because their wrong
 branches die differently.
@@ -52,22 +53,31 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from os.path import commonprefix
+from typing import NamedTuple
 
-STEP_UNIQUE = 0
-STEP_STUCK = 1
-STEP_AMBIGUOUS = 2
-STEP_OVERFLOW = 3
+# A step with more candidate successors than this, in itself or anywhere
+# in its lookahead, overflows
+MAX_BRANCH = 64
+# Deterministic guard against unbounded growth chains in random instances:
+# a closure gives up, as budget-exceeded, after rewriting this many
+# characters in total.  Compiled systems stay far below it.
+WORK_LIMIT = 20_000_000
 
-CLOSE_TERMINAL = 0
-CLOSE_AMBIGUOUS = 1
-CLOSE_BUDGET = 2
-CLOSE_OVERFLOW = 3
 
-_CLOSE = {
-    STEP_STUCK: CLOSE_TERMINAL,
-    STEP_AMBIGUOUS: CLOSE_AMBIGUOUS,
-    STEP_OVERFLOW: CLOSE_OVERFLOW,
-}
+class TraceStep(NamedTuple):
+    step: int
+    rule: int  # the rule or pair applied
+    pos: int  # where a rule applied; -1 for a pair
+    len_after: int
+
+
+class ClosureOutcome(NamedTuple):
+    terminal: bool
+    result: str  # a row of symbols for tiling.tiling_closure
+    steps: int
+    reason: str = ""  # "" when terminal; see the stop reasons above, or
+                      # for tiling Stalled | AmbiguousRow
+    trace: tuple = ()  # of TraceStep
 
 
 class _Overflow(Exception):
@@ -78,34 +88,35 @@ def backend_name() -> str:
     return "pure"
 
 
-def _close(step, w, budget, want_trace, work_limit):
-    """Iterate step while unique.  Returns (status, final, steps, trace).
+def _close(step, w, budget, want_trace):
+    """Iterate step while unique, at most budget steps.
 
-    step(w) returns a step tuple (kind, y, pos, index, count).  A revisited
-    string can never reach a terminal, so cycles short-circuit to the
-    budget-exceeded status.  work_limit (total characters rewritten,
-    0 = off) bounds runaway growth chains the same deterministic way.
+    step(w) returns a step tuple (reason, y, pos, index, count), reason
+    None when the step is unique.  A revisited string can never reach a
+    terminal, so cycles short-circuit to BudgetExceeded; so does rewriting
+    more than WORK_LIMIT characters in total.
     """
-    trace = [] if want_trace else None
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    trace = []
     seen = {w}
     steps = 0
     work = 0
     while True:
-        kind, y, p, i, _ = step(w)
-        if kind != STEP_UNIQUE:
-            return (_CLOSE[kind], w, steps, trace)
-        if steps >= budget:
-            return (CLOSE_BUDGET, w, steps, trace)
+        reason, y, p, i, _ = step(w)
+        if reason is not None or steps >= budget:
+            break
         steps += 1
         w = y
         if want_trace:
-            trace.append((i, p, len(w)))
-        if w in seen:
-            return (CLOSE_BUDGET, w, steps, trace)
-        seen.add(w)
+            trace.append(TraceStep(steps, i, p, len(w)))
         work += len(w)
-        if work_limit and work > work_limit:
-            return (CLOSE_BUDGET, w, steps, trace)
+        if w in seen or work > WORK_LIMIT:
+            break
+        seen.add(w)
+    if reason is None:
+        reason = "BudgetExceeded"
+    return ClosureOutcome(reason == "", w, steps, reason, tuple(trace))
 
 
 # --- semi-Thue ------------------------------------------------------------
@@ -312,13 +323,13 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, memo, lists):
     successor's list there when w's list is kept."""
     matches = _st_matches(lhs, lists, w, None, -1, -1)
     if mode == 0 and len(matches) > 1:
-        return (STEP_AMBIGUOUS, w, -1, -1, len(matches))
+        return ("Ambiguous", w, -1, -1, len(matches))
     succ = _st_successors(lhs, rhs, w, matches)
     if not succ:
-        return (STEP_STUCK, w, -1, -1, 0)
+        return ("", w, -1, -1, 0)
     if len(succ) > 1:
         if len(succ) > max_branch:
-            return (STEP_OVERFLOW, w, -1, -1, len(succ))
+            return ("BranchOverflow", w, -1, -1, len(succ))
         node_budget = max_branch * (depth + 1)
         survivors = []
         try:
@@ -329,27 +340,27 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, memo, lists):
                     if len(survivors) > 1:
                         break
         except _Overflow:
-            return (STEP_OVERFLOW, w, -1, -1, len(succ))
+            return ("BranchOverflow", w, -1, -1, len(succ))
         if len(survivors) != 1:
-            return (STEP_AMBIGUOUS, w, -1, -1, len(succ))
+            return ("Ambiguous", w, -1, -1, len(succ))
         succ = survivors
     y, p, i = succ[0]
     if w in lists:
         _st_matches(lhs, lists, y, w, p, i)
-    return (STEP_UNIQUE, y, p, i, 1)
+    return (None, y, p, i, 1)
 
 
-def st_closure(lhs, rhs, w, budget, mode, depth, max_branch, want_trace,
-               work_limit):
-    """Iterate st_step while unique; see _close.  lhs is a RuleIndex.
-    Every step's lookahead measures usefulness against the initial length
-    and shares one memo and one table of match lists."""
+def st_closure(lhs, rhs, w, budget, policy, want_trace):
+    """Iterate st_step under policy while unique; see _close.  lhs is a
+    RuleIndex.  Every step's lookahead measures usefulness against the
+    initial length and shares one memo and one table of match lists."""
+    mode, depth, branch = policy.mode_id, policy.depth, MAX_BRANCH
     ref_len = len(w)
     memo, lists = {}, {}
     return _close(
-        lambda s: st_step(lhs, rhs, s, mode, depth, max_branch, ref_len,
-                          memo, lists),
-        w, budget, want_trace, work_limit)
+        lambda s: st_step(lhs, rhs, s, mode, depth, branch, ref_len, memo,
+                          lists),
+        w, budget, want_trace)
 
 
 # --- Post correspondence --------------------------------------------------
@@ -464,20 +475,20 @@ def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap):
     succ, napps = _pcp_successors(us, vs, x)
     if mode == 0:
         if napps == 0:
-            return (STEP_STUCK, x, -1, -1, 0)
+            return ("", x, -1, -1, 0)
         if napps == 1:
             y, i = succ[0]
-            return (STEP_UNIQUE, y, -1, i, 1)
-        return (STEP_AMBIGUOUS, x, -1, -1, napps)
+            return (None, y, -1, i, 1)
+        return ("Ambiguous", x, -1, -1, napps)
     if not succ:
-        return (STEP_STUCK, x, -1, -1, 0)
+        return ("", x, -1, -1, 0)
     if succ_cap and napps > succ_cap:
-        return (STEP_AMBIGUOUS, x, -1, -1, napps)
+        return ("Ambiguous", x, -1, -1, napps)
     if len(succ) == 1:
         y, i = succ[0]
-        return (STEP_UNIQUE, y, -1, i, 1)
+        return (None, y, -1, i, 1)
     if len(succ) > max_branch:
-        return (STEP_OVERFLOW, x, -1, -1, len(succ))
+        return ("BranchOverflow", x, -1, -1, len(succ))
     cap = depth + 1
     budget = [max_branch * cap, max_branch]
     best = -1
@@ -493,18 +504,19 @@ def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap):
             elif d == best:
                 tie = True
     except _Overflow:
-        return (STEP_OVERFLOW, x, -1, -1, len(succ))
+        return ("BranchOverflow", x, -1, -1, len(succ))
     if tie or winner < 0:
-        return (STEP_AMBIGUOUS, x, -1, -1, len(succ))
+        return ("Ambiguous", x, -1, -1, len(succ))
     y, i = succ[winner]
-    return (STEP_UNIQUE, y, -1, i, 1)
+    return (None, y, -1, i, 1)
 
 
-def pcp_closure(us, vs, x, budget, mode, depth, max_branch, succ_cap,
-                want_trace, work_limit):
-    """Iterate pcp_step while unique; see _close.  The pair index is built
-    once here and passed to every step in place of us."""
+def pcp_closure(us, vs, x, budget, policy, want_trace):
+    """Iterate pcp_step under policy while unique; see _close.  The pair
+    index is built once here and passed to every step in place of us."""
     us = pair_index(us)
+    mode, depth, branch = policy.mode_id, policy.depth, MAX_BRANCH
+    cap = policy.successor_cap
     return _close(
-        lambda s: pcp_step(us, vs, s, mode, depth, max_branch, succ_cap),
-        x, budget, want_trace, work_limit)
+        lambda s: pcp_step(us, vs, s, mode, depth, branch, cap),
+        x, budget, want_trace)

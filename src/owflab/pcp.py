@@ -20,12 +20,8 @@ from .bitcodes import is_bits
 from .coding import CodeTable, build_code_table, decode, encode
 from .machine import BLANK, Machine, RIGHT, TAPE_SYMBOLS
 from .semithue import (
-    ClosureOutcome,
-    DEFAULT_MAX_BRANCH,
-    DEFAULT_WORK_LIMIT,
     DeterminismPolicy,
     RewriteSystem,
-    closure_outcome,
     from_text,
     one_way,
     parse_instance,
@@ -48,14 +44,8 @@ class PairList(RewriteSystem):
 
 def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
                     policy: DeterminismPolicy = PAPER_POLICY,
-                    want_trace: bool = True) -> ClosureOutcome:
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    return closure_outcome(*kernels.pcp_closure(
-        g.lhs, g.rhs, x, budget, policy.mode_id, policy.depth,
-        DEFAULT_MAX_BRANCH, policy.successor_cap, want_trace,
-        DEFAULT_WORK_LIMIT
-    ))
+                    want_trace: bool = True) -> kernels.ClosureOutcome:
+    return kernels.pcp_closure(g.lhs, g.rhs, x, budget, policy, want_trace)
 
 
 # --- the PTF one-way function ---------------------------------------------

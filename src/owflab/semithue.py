@@ -7,7 +7,7 @@ one (rule, position) pair applies; two positions of the same rule already
 count as nondeterministic.  Lookahead(d) additionally discards candidate
 branches that provably cannot reach a terminal of the closure's initial
 length any more (a bounded search per branch, sized by d and
-DEFAULT_MAX_BRANCH), which is what makes the compiled block-shuttling
+kernels.MAX_BRANCH), which is what makes the compiled block-shuttling
 systems evaluable: their raw-bit phase is never strictly deterministic,
 but every wrong block choice wrecks the code alignment and runs into a
 dead end.
@@ -23,12 +23,6 @@ from . import kernels
 from .bitcodes import gamma_decode, gamma_encode, is_bits
 
 DEFAULT_LOOKAHEAD = 8
-DEFAULT_MAX_BRANCH = 64
-# Deterministic guard against unbounded growth chains in random instances:
-# a closure (det_closure, pcp_det_closure) gives up, as budget-exceeded,
-# after rewriting this many characters in total.
-# Compiled systems stay far below it.
-DEFAULT_WORK_LIMIT = 20_000_000
 
 
 class InstanceParseError(ValueError):
@@ -79,51 +73,11 @@ STRICT = DeterminismPolicy(mode="strict")
 LOOKAHEAD8 = DeterminismPolicy(mode="lookahead", depth=8)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    rule: int
-    pos: int
-    len_after: int
-
-
-@dataclass(frozen=True)
-class ClosureOutcome:
-    terminal: bool
-    result: str  # a row of symbols for tiling.tiling_closure
-    steps: int
-    reason: str = ""  # Ambiguous | BudgetExceeded | BranchOverflow, or
-                      # for tiling Stalled | AmbiguousRow
-    trace: tuple = ()
-
-
-_REASON = {
-    kernels.CLOSE_AMBIGUOUS: "Ambiguous",
-    kernels.CLOSE_BUDGET: "BudgetExceeded",
-    kernels.CLOSE_OVERFLOW: "BranchOverflow",
-}
-
-
 def det_closure(sys: RewriteSystem, w: str, budget: int,
                 policy: DeterminismPolicy,
-                want_trace: bool = True) -> ClosureOutcome:
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    return closure_outcome(*kernels.st_closure(
-        sys.index, sys.rhs, w, budget, policy.mode_id, policy.depth,
-        DEFAULT_MAX_BRANCH, want_trace, DEFAULT_WORK_LIMIT
-    ))
-
-
-def closure_outcome(status, final, steps, raw) -> ClosureOutcome:
-    """The ClosureOutcome of a kernel closure's (status, final, steps,
-    trace) tuple."""
-    trace = tuple(
-        TraceStep(k + 1, i, p, n) for k, (i, p, n) in enumerate(raw or ())
-    )
-    if status == kernels.CLOSE_TERMINAL:
-        return ClosureOutcome(True, final, steps, trace=trace)
-    return ClosureOutcome(False, final, steps, reason=_REASON[status], trace=trace)
+                want_trace: bool = True) -> kernels.ClosureOutcome:
+    return kernels.st_closure(sys.index, sys.rhs, w, budget, policy,
+                              want_trace)
 
 
 # --- pure-string instance encoding ---------------------------------------
@@ -249,8 +203,4 @@ def instance_from_text(text: str):
 
 
 def trace_to_jsonl(trace) -> str:
-    return "\n".join(
-        json.dumps({"step": t.step, "rule": t.rule, "pos": t.pos,
-                    "len_after": t.len_after})
-        for t in trace
-    )
+    return "\n".join(json.dumps(t._asdict()) for t in trace)

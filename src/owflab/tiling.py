@@ -23,10 +23,12 @@ makes the emitted and absorbed edge alphabets disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitcodes import gamma_decode, gamma_encode, is_bits
+from .kernels import ClosureOutcome
 from .machine import BLANK, Machine, RIGHT, TAPE_SYMBOLS
-from .semithue import ClosureOutcome, one_way
+from .semithue import one_way
 
 EMPTY = "."  # the blank edge symbol; an ordinary symbol, not a wildcard
 LEFT_BORDER = "$"
@@ -37,8 +39,9 @@ class TilingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
+    """A tuple, so that a TileSet hashes and compares its tiles in C."""
+
     north: object
     south: object
     east: object
@@ -158,29 +161,27 @@ class LastRow:
         self.count, self.lo, self.hi, self.span = 0, 0, 0, range(0)
 
 
-def next_rows(ts: TileSet, souths, last: LastRow | None = None):
+def next_rows(ts: TileSet, souths, last: LastRow):
     """Count the tile rows whose south edges equal `souths` and whose
     east/west edges agree between neighbors (outer edges free).
 
     Returns (count, row): count is 0, 1 or 2 (2 means two or more), and
-    row is the tile tuple when count == 1, else None.  The forward pass
-    maps each column's east-edge symbols to the last tile of the one row
-    prefix ending there, or to None when two or more do; column 0 starts
-    from every west edge, since the outer edges are free.  The backward
-    pass follows west edges from the single end tile.  O(width·|tiles|).
+    row is the tiles when count == 1, else None.  The forward pass maps
+    each column's east-edge symbols to the last tile of the one row prefix
+    ending there, or to None when two or more do; column 0 starts from
+    every west edge, since the outer edges are free.  The backward pass
+    follows west edges from the single end tile.  O(width·|tiles|).
 
-    With `last`, the row is solved from the one before: the forward pass
-    restarts at column last.lo and stops at the first column past last.hi
-    whose layer is the one stored (every later layer, and the count, are
-    then the stored ones too); the backward pass stops below last.lo at
-    the first tile the stored row has, since the prefix is then the same.
-    The row comes back as last.row, a list that the next call rewrites.
+    The row is solved from the one before, which `last` keeps (a fresh
+    LastRow solves it from scratch): the forward pass restarts at column
+    last.lo and stops at the first column past last.hi whose layer is the
+    one stored (every later layer, and the count, are then the stored ones
+    too); the backward pass stops below last.lo at the first tile the
+    stored row has, since the prefix is then the same.  The row comes back
+    as last.row, a list that the next call rewrites.
     """
     if not souths:
         return 1, ()
-    fresh = last is None
-    if fresh:
-        last = LastRow()
     index = ts._by_south_west
     width = len(souths)
     layers = last.layers
@@ -228,8 +229,6 @@ def next_rows(ts: TileSet, souths, last: LastRow | None = None):
         row, j = None, stop - 1
     last.layers, last.count, last.row = layers, count, row
     last.span = range(j + 1, stop)
-    if fresh:
-        return count, (tuple(row) if count == 1 else None)
     return count, row
 
 

@@ -21,8 +21,9 @@ from owflab import kernels
 from owflab.inverter import staf_payload
 from owflab.machine import LIBRARY_NAMES, library_machine
 from owflab.pcp import PAPER_POLICY, compile_pcp, pcp_encode_input, ptf_budget
-from owflab.semithue import DEFAULT_MAX_BRANCH, LOOKAHEAD8, staf_budget
+from owflab.semithue import DeterminismPolicy, LOOKAHEAD8, staf_budget
 from owflab.stcompile import compile_semithue
+from owflab.tiling import Tile, TileSet, tiling_closure
 
 # sha256 of _engine_outputs(), recorded from the engine as it was before
 # its two closure loops were merged into one
@@ -65,11 +66,11 @@ def naive_applications(us, vs, x):
 def naive_st_step_strict(lhs, rhs, w):
     matches = naive_find_matches(lhs, w)
     if not matches:
-        return (kernels.STEP_STUCK, w, -1, -1, 0)
+        return ("", w, -1, -1, 0)
     if len(matches) > 1:
-        return (kernels.STEP_AMBIGUOUS, w, -1, -1, len(matches))
+        return ("Ambiguous", w, -1, -1, len(matches))
     p, i = matches[0]
-    return (kernels.STEP_UNIQUE, w[:p] + rhs[i] + w[p + len(lhs[i]):], p, i, 1)
+    return (None, w[:p] + rhs[i] + w[p + len(lhs[i]):], p, i, 1)
 
 
 def first_st_step(lhs, rhs, w, mode, depth, max_branch):
@@ -82,11 +83,11 @@ def first_st_step(lhs, rhs, w, mode, depth, max_branch):
 def naive_pcp_step_strict(us, vs, x):
     apps = naive_applications(us, vs, x)
     if not apps:
-        return (kernels.STEP_STUCK, x, -1, -1, 0)
+        return ("", x, -1, -1, 0)
     if len(apps) > 1:
-        return (kernels.STEP_AMBIGUOUS, x, -1, -1, len(apps))
+        return ("Ambiguous", x, -1, -1, len(apps))
     i, y = apps[0]
-    return (kernels.STEP_UNIQUE, y, -1, i, 1)
+    return (None, y, -1, i, 1)
 
 
 # --- the engine against the references -----------------------------------
@@ -236,13 +237,13 @@ def test_lookahead_step_is_a_reference_step():
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
         kind, y, p, i, _ = first_st_step(lhs, rhs, w, 1, 3, 16)
-        if kind == kernels.STEP_UNIQUE:
+        if kind is None:
             assert (p, i) in naive_find_matches(lhs, w)
             assert y == w[:p] + rhs[i] + w[p + len(lhs[i]):]
         us, vs = random_pairs(rng)
         kind, y, _, i, _ = kernels.pcp_step(kernels.pair_index(us), vs, w,
                                             1, 1, 16, 2)
-        if kind == kernels.STEP_UNIQUE:
+        if kind is None:
             assert (i, y) in naive_applications(us, vs, w)
 
 
@@ -250,8 +251,7 @@ def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
     comp = compile_pcp(library_machine("not"), 4)
     us, vs = comp.pairs.lhs, comp.pairs.rhs
     x = pcp_encode_input(comp, "1010")
-    args = (x, ptf_budget(len(x)), PAPER_POLICY.mode_id, PAPER_POLICY.depth,
-            DEFAULT_MAX_BRANCH, PAPER_POLICY.successor_cap, False, 0)
+    args = (x, ptf_budget(len(x)), PAPER_POLICY, False)
     want = kernels.pcp_closure(us, vs, *args)
 
     built = []
@@ -270,11 +270,18 @@ def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
     monkeypatch.setattr(kernels, "pair_index", counting_index)
     monkeypatch.setattr(kernels, "pcp_applications", counting_apply)
     assert kernels.pcp_closure(us, vs, *args) == want
-    assert want[2] > 10  # steps, each with at least one lookup
-    assert built == [len(us)] and len(calls) > want[2]
+    assert want.steps > 10  # each with at least one lookup
+    assert built == [len(us)] and len(calls) > want.steps
 
 
 # --- pinned outputs -------------------------------------------------------
+
+def policy(mode, depth, successor_cap=0):
+    """The DeterminismPolicy of a step kernel's mode (0 strict, 1
+    lookahead), depth and successor cap."""
+    return DeterminismPolicy(("strict", "lookahead")[mode], depth,
+                             successor_cap)
+
 
 def _engine_outputs():
     """Steps and closures, both modes, on the seeded systems above."""
@@ -291,7 +298,7 @@ def _engine_outputs():
         w = bits(rng, 0, 8)
         for mode in (0, 1):
             out.append(kernels.st_closure(kernels.RuleIndex(lhs), rhs, w, 50,
-                                          mode, 3, 16, True, 5000))
+                                          policy(mode, 3), True))
     rng = random.Random(3)
     for _ in range(300):
         us, vs = random_pairs(rng)
@@ -299,16 +306,61 @@ def _engine_outputs():
         index = kernels.pair_index(us)
         for mode in (0, 1):
             out.append(kernels.pcp_step(index, vs, x, mode, 1, 16, 2))
-            out.append(kernels.pcp_closure(us, vs, x, 40, mode, 1, 16, 2,
-                                           True, 5000))
+            out.append(kernels.pcp_closure(us, vs, x, 40, policy(mode, 1, 2),
+                                           True))
         # deeper lookahead without a successor cap: longer depth searches
         out.append(kernels.pcp_step(index, vs, x, 1, 5, 16, 0))
     return out
 
 
-def test_engine_outputs_are_pinned():
-    text = "\n".join(repr(r) for r in _engine_outputs())
+# the integer step kinds and closure statuses the digest was recorded with
+_KIND = {None: 0, "": 1, "Ambiguous": 2, "BranchOverflow": 3}
+_STATUS = {"": 0, "Ambiguous": 1, "BudgetExceeded": 2, "BranchOverflow": 3}
+
+
+def recorded(out):
+    """An engine output in the form ENGINE_DIGEST was recorded in: a step
+    with an integer kind, a closure as (integer status, final string,
+    steps, [(rule, pos, length after), ...])."""
+    if isinstance(out, kernels.ClosureOutcome):
+        return (_STATUS[out.reason], out.result, out.steps,
+                [(t.rule, t.pos, t.len_after) for t in out.trace])
+    return (_KIND[out[0]],) + out[1:]
+
+
+def test_engine_outputs_are_pinned(monkeypatch):
+    # the branch and work limits the digest was recorded with
+    monkeypatch.setattr(kernels, "MAX_BRANCH", 16)
+    monkeypatch.setattr(kernels, "WORK_LIMIT", 5000)
+    text = "\n".join(repr(recorded(r)) for r in _engine_outputs())
     assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_DIGEST
+
+
+def test_closure_outcomes_keep_the_tracer_contract(monkeypatch):
+    """owfbench's layer tracer reads a string closure's steps as out[2]
+    and counts its outcomes by reason: "" (terminal), Ambiguous,
+    BudgetExceeded or BranchOverflow, and any other reason fails it.  It
+    counts tiling's as Completed, Stalled or AmbiguousRow.  Each reason
+    occurs here, and a closure is terminal exactly when its reason is
+    empty."""
+    monkeypatch.setattr(kernels, "MAX_BRANCH", 2)  # so that some overflow
+    strings = [o for o in _engine_outputs()
+               if isinstance(o, kernels.ClosureOutcome)]
+    rng = random.Random(18)
+    squares = []
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        tiles = {Tile(*(rng.randrange(k) for _ in range(4)))
+                 for _ in range(rng.randint(1, 6))}
+        ts = TileSet(tuple(range(k)), tuple(tiles))
+        row = [rng.randrange(k) for _ in range(rng.randint(1, 9))]
+        squares.append(tiling_closure(ts, row, rng.randint(1, 12)))
+    for out in strings + squares:
+        assert out[2] == out.steps
+        assert out.terminal == (out.reason == "")
+    assert {o.reason for o in strings} == {
+        "", "Ambiguous", "BudgetExceeded", "BranchOverflow"}
+    assert {o.reason for o in squares} == {"", "Stalled", "AmbiguousRow"}
 
 
 # --- derived match lists ----------------------------------------------------
@@ -372,7 +424,8 @@ def test_closure_table_lists_equal_a_full_scan(system, mode, keep_all):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_st_successors", checked)
-        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8, False, 0)
+        mp.setattr(kernels, "MAX_BRANCH", 8)
+        kernels.st_closure(lhs, rhs, w, 20, policy(mode, 2), False)
 
 
 def _lists_made(mp):
@@ -404,7 +457,8 @@ def _kept_lists_are_made_once(system, mode):
     lhs = kernels.RuleIndex(sides)
     with pytest.MonkeyPatch.context() as mp:
         made = _lists_made(mp)
-        kernels.st_closure(lhs, rhs, w, 20, mode, 2, 8, False, 0)
+        mp.setattr(kernels, "MAX_BRANCH", 8)
+        kernels.st_closure(lhs, rhs, w, 20, policy(mode, 2), False)
     counts = Counter(s for s, _ in made)
     assert all(n > lhs.keep_max for s, n in made if counts[s] > 1)
 
@@ -420,9 +474,8 @@ def test_one_closure_derives_each_string_once():
         made = _lists_made(mp)
         out = kernels.st_closure(
             comp.system.index, comp.system.rhs, w, staf_budget(len(w)),
-            LOOKAHEAD8.mode_id, LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH, False,
-            0)
-    assert out[0] == kernels.CLOSE_TERMINAL and out[2] == 39
+            LOOKAHEAD8, False)
+    assert out.terminal and out.steps == 39
     strings = [s for s, _ in made]
     assert len(strings) > 39 and len(set(strings)) == len(strings)
 
@@ -441,9 +494,10 @@ def test_dense_match_lists_stay_out_of_the_closure_table():
     try:
         # staf's closure of the payload "0": budget 7, lookahead depth 8,
         # at most 64 branches
-        out = kernels.st_closure(lhs, rhs, "0", 7, 1, 8, 64, True, 0)
+        out = kernels.st_closure(lhs, rhs, "0", 7, LOOKAHEAD8, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == (kernels.CLOSE_AMBIGUOUS, "011", 1, [(4, 0, 3)])
+    assert out == (False, "011", 1, "Ambiguous",
+                   (kernels.TraceStep(1, 4, 0, 3),))
     assert peak < 2_000_000, peak

@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 
 from owflab import kernels
 from owflab.semithue import (
-    DEFAULT_MAX_BRANCH,
-    DEFAULT_WORK_LIMIT,
     DeterminismPolicy,
     InstanceParseError,
     LOOKAHEAD8,
     RewriteSystem,
     STRICT,
-    closure_outcome,
     det_closure,
     instance_from_text,
     instance_to_text,
@@ -27,21 +24,21 @@ from owflab.semithue import (
 
 def step(sys, w, policy):
     """One kernels.st_step under policy, as a closure's first step from w:
-    (status, result)."""
-    status, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
-                                         policy.depth, DEFAULT_MAX_BRANCH,
+    (reason, result), reason None when the step is unique."""
+    reason, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
+                                         policy.depth, kernels.MAX_BRANCH,
                                          len(w), {}, {})
-    return status, y
+    return reason, y
 
 
 def test_strict_step_kinds():
     sys = RewriteSystem((("01", "1"), ("10", "0")))
-    assert step(sys, "11", STRICT)[0] == kernels.STEP_STUCK
-    assert step(sys, "011", STRICT) == (kernels.STEP_UNIQUE, "11")
+    assert step(sys, "11", STRICT)[0] == ""  # stuck
+    assert step(sys, "011", STRICT) == (None, "11")
     # two rules match at different positions
-    assert step(sys, "0110", STRICT)[0] == kernels.STEP_AMBIGUOUS
+    assert step(sys, "0110", STRICT)[0] == "Ambiguous"
     # one rule at two positions is already ambiguous in strict mode
-    assert step(sys, "0101", STRICT)[0] == kernels.STEP_AMBIGUOUS
+    assert step(sys, "0101", STRICT)[0] == "Ambiguous"
 
 
 def test_lookahead_prunes_dead_branch():
@@ -49,16 +46,16 @@ def test_lookahead_prunes_dead_branch():
     # reach shorter stuck strings, so lookahead discards it.
     sys = RewriteSystem((("01", "10"), ("01", "0")))
     assert (step(sys, "01", DeterminismPolicy("lookahead", depth=3))
-            == (kernels.STEP_UNIQUE, "10"))
+            == (None, "10"))
     # strict mode cannot choose
-    assert step(sys, "01", STRICT)[0] == kernels.STEP_AMBIGUOUS
+    assert step(sys, "01", STRICT)[0] == "Ambiguous"
 
 
 def test_lookahead_survivor_requires_reference_length():
     # both branches survive (both reach stuck strings of the start length)
     sys = RewriteSystem((("1", "0"), ("10", "01")))
     assert (step(sys, "10", DeterminismPolicy("lookahead", depth=2))[0]
-            == kernels.STEP_AMBIGUOUS)
+            == "Ambiguous")
 
 
 def test_closure_terminal_and_trace():
@@ -83,21 +80,21 @@ def test_closure_budget_and_cycle():
     assert out.steps < 1000  # cycle detected, not exhausted
 
 
-def test_closure_work_limit():
+def test_closure_work_limit(monkeypatch):
+    monkeypatch.setattr(kernels, "WORK_LIMIT", 100)
     grow = RewriteSystem((("1", "11"),))
-    out = closure_outcome(*kernels.st_closure(
-        grow.index, grow.rhs, "1", 10**6, LOOKAHEAD8.mode_id,
-        LOOKAHEAD8.depth, DEFAULT_MAX_BRANCH, False, 100))
+    out = det_closure(grow, "1", 10**6, LOOKAHEAD8, want_trace=False)
+    # 2 + 3 + ... + 14 = 104 characters rewritten by step 13
     assert not out.terminal and out.reason == "BudgetExceeded"
+    assert out.steps == 13
 
 
-def test_branch_overflow():
+def test_branch_overflow(monkeypatch):
     # at most one candidate per step: "1" -> "0" and "1" -> "00" overflow
+    monkeypatch.setattr(kernels, "MAX_BRANCH", 1)
     sys = RewriteSystem((("1", "0"), ("1", "00")))
-    policy = DeterminismPolicy("lookahead", depth=2)
-    out = closure_outcome(*kernels.st_closure(
-        sys.index, sys.rhs, "111", 100, policy.mode_id, policy.depth, 1,
-        False, DEFAULT_WORK_LIMIT))
+    out = det_closure(sys, "111", 100, DeterminismPolicy("lookahead", depth=2),
+                      want_trace=False)
     assert not out.terminal and out.reason == "BranchOverflow"
 
 

@@ -48,6 +48,12 @@ def brute_force_rows(ts, souths):
     return min(2, len(rows)), (rows[0] if len(rows) == 1 else None)
 
 
+def solve(ts, souths):
+    """next_rows from scratch, with the row as a tuple."""
+    count, row = next_rows(ts, souths, LastRow())
+    return count, (tuple(row) if count == 1 else None)
+
+
 def test_next_rows_neighbor_constraint():
     # two tiles over south "a": east/west must chain
     ts = TileSet(
@@ -58,11 +64,11 @@ def test_next_rows_neighbor_constraint():
         ),
     )
     # both orders chain ("x|x" and ". .. ." with free outer edges)
-    assert next_rows(ts, ["a", "a"]) == (2, None)
+    assert solve(ts, ["a", "a"]) == (2, None)
     # a third column over "c" only accepts west "x", so the row is unique
     c = Tile("d", "c", ".", "x")
     ts = TileSet(("a", "b", "c", "d", "x", "."), ts.tiles + (c,))
-    count, row = next_rows(ts, ["a", "a", "c"])
+    count, row = solve(ts, ["a", "a", "c"])
     assert count == 1
     assert row == (ts.tiles[1], ts.tiles[0], c)
     assert all(a.east == b.west for a, b in zip(row, row[1:]))
@@ -76,7 +82,7 @@ def test_next_rows_matches_brute_force():
                  for _ in range(rng.randint(1, 6))}
         ts = TileSet(tuple(range(k)), tuple(tiles))
         souths = [rng.randrange(k) for _ in range(rng.randint(0, 8))]
-        assert next_rows(ts, souths) == brute_force_rows(ts, souths), (
+        assert solve(ts, souths) == brute_force_rows(ts, souths), (
             ts, souths)
 
 
@@ -110,7 +116,7 @@ def test_incremental_rows_equal_a_fresh_solve():
         last, before = LastRow(), None
         for _ in range(8):
             count, row = next_rows(ts, souths, last)
-            want = next_rows(ts, souths)
+            want = solve(ts, souths)
             got = (count, tuple(row) if count == 1 else None)
             assert got == want, (ts, souths)
             if count == 1 and before is not None:
@@ -127,7 +133,7 @@ def fresh_closure(ts, bottom, height):
     """tile_closure with every row solved afresh."""
     souths = list(bottom)
     for i in range(1, height):
-        count, row = next_rows(ts, souths)
+        count, row = next_rows(ts, souths, LastRow())
         if count == 0:
             return Stalled(i)
         if count > 1:
@@ -173,7 +179,7 @@ def test_compiled_rows_re_solve_few_columns(monkeypatch):
     # every row after the first re-chooses the tiles of a few columns
     spans = []
 
-    def counted(ts, souths, last=None):
+    def counted(ts, souths, last):
         out = next_rows(ts, souths, last)
         spans.append(len(last.span))
         return out
@@ -353,14 +359,14 @@ def test_tile_closure_stops_at_a_fixed_point(monkeypatch):
     height = len(row)
     souths = list(row)
     for _ in range(1, height):  # every row solved, as before the stop
-        count, solved = next_rows(ts, souths)
+        count, solved = next_rows(ts, souths, LastRow())
         assert count == 1
         souths = [t.north for t in solved]
     calls = []
 
-    def counted(ts, souths, *rest):
+    def counted(ts, souths, last):
         calls.append(len(souths))
-        return next_rows(ts, souths, *rest)
+        return next_rows(ts, souths, last)
 
     monkeypatch.setattr(tiling, "next_rows", counted)
     assert tile_closure(ts, row, height) == Completed(tuple(souths))
