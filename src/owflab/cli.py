@@ -269,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser(
         "experiment", help="forward/inverse cost experiment",
-        description="One CSV row per inverted target.  identity_rate is one "
-        "figure per run, repeated on every row: staf's identity rate on "
-        f"{inverter.IDENTITY_SAMPLES} sampled instances seeded by --seed.")
+        description="One CSV row per inverted target: kind, machine, n, "
+        "seed, forward_us, attempts, found, policy.  The inputs are drawn "
+        "from --seed.")
     x.add_argument("--machine", default="not")
     x.add_argument("--n", type=_positive_ints, default="8",
                    help="comma-separated lengths")

@@ -8,17 +8,17 @@ lemma() checks that each compiled system computes its machine, and
 determinism() that strict semantics stalls on the compiled shuttle layer
 where lookahead resolves it; `owflab verify --suite lemma|determinism` and
 the acceptance tests read them.
-brute_invert parses a target instance once and enumerates candidate
-payloads under its system, which the functions never alter.  Each
-candidate goes through the payload step (semithue.payload_step) and is
-compared with the target's payload; a match is confirmed by one call of
-the function on the whole instance.  The default candidate stream is
-every payload of the target's length in lexicographic order;
-invert_staf_target narrows it to the well-formed encodings of a machine's
-inputs, which shrinks the space from 2^N to 2^n without changing
-soundness.  invert_case times one staf_target and inverts it (`owflab
-invert`); owf_experiment compiles each length first, maps invert_case
-over seeded inputs and writes the rows as CSV (`owflab experiment`).
+brute_invert parses a target instance once and searches the candidate
+payloads its caller gives under the target's system, which the functions
+never alter.  Each candidate goes through the payload step
+(semithue.payload_step) and is compared with the target's payload; a
+match is confirmed by one call of the function on the whole instance.
+invert_case times staf on a compiled machine's instance for an input x
+and inverts that target over the well-formed encodings of the machine's
+inputs of length n = |x|, 2^n of the 2^N payloads of the instance's
+length (`owflab invert`).  owf_experiment compiles each length first,
+maps invert_case over seeded inputs and writes the rows as CSV (`owflab
+experiment`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-from . import pcp, sampler, semithue, stcompile, tiling
+from . import pcp, semithue, stcompile, tiling
 from .machine import run, step_bound
 from .semithue import (
     DeterminismPolicy,
@@ -162,65 +162,37 @@ class LimitExceeded:
     attempts: int
 
 
-_DONE = object()
-
-
-def _words(symbols, n: int):
-    """Every n-tuple over symbols, in lexicographic order.  Unlike
-    itertools.product it never copies symbols, which for a parsed tiling
-    target is range(S)."""
-    its = [iter(symbols) for _ in range(n)]
-    word = [next(it) for it in its]
-    while True:
-        yield tuple(word)
-        for j in reversed(range(n)):
-            s = next(its[j], _DONE)
-            if s is not _DONE:
-                word[j] = s
-                break
-            its[j] = iter(symbols)
-            word[j] = next(its[j])
-        else:
-            return
-
-
-def brute_invert(f_kind: str, target: str,
-                 policy: DeterminismPolicy | None = None,
-                 limit: int = 1 << 20, candidates=None):
-    """Search for a payload x' with f(serialize(system, x')) = target.
+def brute_invert(f_kind: str, target: str, policy: DeterminismPolicy | None,
+                 limit: int, candidates):
+    """Search candidates for a payload x' with f(serialize(system, x')) =
+    target, f called under policy.
 
     f_kind names a function of functions().  The target is parsed once.
     Each candidate payload of the target's length over its symbols is
     mapped by the payload step (any other cannot map to the target), and
     a match is confirmed by one call of f.  candidates is an iterable of
-    payloads, or a function of the target's payload that returns one.
-    Unparseable targets are identity points (f(target) = target), so
-    their unique preimage is the target itself.
+    payloads.  Unparseable targets are identity points (f(target) =
+    target), so their unique preimage is the target itself.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     fn = functions().get(f_kind)
     if fn is None:
         raise ValueError(f"unknown function kind {f_kind!r}")
-    policy = policy or fn.policy
     try:
         sys, x = fn.parse(target)
     except ValueError:  # InstanceParseError, TilingError
         return Found(target, 0)
     # a payload is a bit string, or a tiling row as a list of symbol ids
-    # over range(S), which is tested and enumerated in place: S may be as
-    # large as 2^|target|
+    # over range(S), which is tested in place: S may be as large as
+    # 2^|target|
     if isinstance(x, str):
-        symbols, payload, fits = "01", "".join, set("01").issuperset
+        payload, fits = "".join, set("01").issuperset
     else:
         symbols, payload = sys.symbols, list
 
         def fits(cand):
             return all(isinstance(s, int) and s in symbols for s in cand)
-    if candidates is None:
-        candidates = map(payload, _words(symbols, len(x)))
-    elif callable(candidates):
-        candidates = candidates(x)
     attempts = 0
     for cand in candidates:
         if attempts >= limit:
@@ -237,7 +209,7 @@ def brute_invert(f_kind: str, target: str,
     return NotFound(attempts)
 
 
-# --- machine-targeted inversion helpers -----------------------------------
+# --- machine-targeted inversion ------------------------------------------
 
 def staf_payload(comp, x: str) -> str:
     """The raw initial string code(s)·x·code($) without the block check:
@@ -247,32 +219,17 @@ def staf_payload(comp, x: str) -> str:
     return t.code(comp.machine.start) + x + t.code(MARKER)
 
 
-def staf_target(comp, x: str) -> str:
-    return staf(serialize_instance(comp.system, staf_payload(comp, x)))
-
-
-def invert_staf_target(comp, target: str, limit: int):
-    """brute_invert over the 2ⁿ well-formed payload encodings, n read from
-    the length of the target's payload."""
-    def cands(y):
-        n = len(y) - 2 * comp.table.code_len
-        return (staf_payload(comp, format(k, f"0{n}b"))
-                for k in range(1 << n if n >= 1 else 0))
-
-    return brute_invert("staf", target, limit=limit, candidates=cands)
-
-
 def invert_case(comp, x: str, limit: int):
-    """The inversion case of `owflab invert` and owf_experiment: times one
-    staf_target(comp, x) and inverts it, as (forward_us, result)."""
+    """The inversion case of `owflab invert` and owf_experiment: times staf
+    on comp's instance for x, then inverts that target under LOOKAHEAD8
+    over staf_payload(comp, x') for every x' of length n = |x|, in
+    lexicographic order.  Returns (forward_us, result)."""
     t0 = time.perf_counter()
-    target = staf_target(comp, x)
+    target = staf(serialize_instance(comp.system, staf_payload(comp, x)))
     forward_us = (time.perf_counter() - t0) * 1e6
-    return forward_us, invert_staf_target(comp, target, limit)
-
-
-# sampled instances behind owf_experiment's identity rate
-IDENTITY_SAMPLES = 200
+    n = len(x)
+    cands = (staf_payload(comp, format(k, f"0{n}b")) for k in range(1 << n))
+    return forward_us, brute_invert("staf", target, LOOKAHEAD8, limit, cands)
 
 
 @dataclass(frozen=True)
@@ -284,7 +241,6 @@ class ExperimentRow:
     forward_us: float
     attempts: int
     found: bool
-    identity_rate: float
     policy: str = f"{LOOKAHEAD8.mode}:{LOOKAHEAD8.depth}"
 
 
@@ -295,26 +251,16 @@ def owf_experiment(machine, ns, targets_per_n: int, seed: int,
                    limit: int, jobs: int):
     """Forward/inverse cost measurement for the rewrite-system function.
 
-    Compiles machine once per n in ns, before any sampling, so a machine
-    the compiler rejects fails at once.  Then measures the identity rate
-    of staf on IDENTITY_SAMPLES sampled instances (shared across n), and
-    runs invert_case on targets_per_n random inputs per n.  jobs > 1
-    spreads the cases over processes; rows keep their sequential order.
+    Compiles machine once per n in ns, so a machine the compiler rejects
+    fails before any case runs, then runs invert_case on targets_per_n
+    random inputs per n.  jobs > 1 spreads the cases over processes; rows
+    keep their sequential order.
     """
     # imported here: the process pool's modules add about 2.5 MB of
     # resident memory to every process that imports this module
     from concurrent.futures import ProcessPoolExecutor
 
     comps = {n: compile_semithue(machine, n) for n in ns}
-    d = sampler.DefaultUniform(max_int=64, max_len=32, seed=seed)
-    srng = sampler.make_rng(d)
-    ident = 0
-    for _ in range(IDENTITY_SAMPLES):
-        s = sampler.sample_sts_instance(d, srng)
-        w = serialize_instance(s.system, s.payload)
-        ident += staf(w) == w
-    identity_rate = ident / IDENTITY_SAMPLES
-
     rng = random.Random(seed)
     case_ns = [n for n in ns for _ in range(targets_per_n)]
     xs = [format(rng.getrandbits(n), f"0{n}b") for n in case_ns]
@@ -325,8 +271,7 @@ def owf_experiment(machine, ns, targets_per_n: int, seed: int,
     return [
         ExperimentRow(kind="staf", machine=machine.name, n=n, seed=seed,
                       forward_us=forward_us, attempts=out.attempts,
-                      found=isinstance(out, Found),
-                      identity_rate=identity_rate)
+                      found=isinstance(out, Found))
         for n, (forward_us, out) in zip(case_ns, results)
     ]
 

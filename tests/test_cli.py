@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from owflab import inverter, sampler
+from owflab import inverter
 from owflab.cli import main
 from owflab.machine import LIBRARY_NAMES
 
@@ -366,10 +366,11 @@ def test_pcp_compiles_state_named_like_rewrite_internal(tmp_path, capsys):
 
 def test_rejected_experiment_fails_before_sampling(tmp_path, capsys,
                                                    monkeypatch):
-    def no_sampling(*args):
-        raise AssertionError("sampled before compiling")
+    # the inputs are drawn and the cases run only after every n compiles
+    def no_case(*args):
+        raise AssertionError("ran a case before compiling")
 
-    monkeypatch.setattr(sampler, "sample_sts_instance", no_sampling)
+    monkeypatch.setattr(inverter, "invert_case", no_case)
     machine = tmp_path / "clash.tm"
     machine.write_text(CLASH_MACHINES["B"])
     code, _, err = run_cli(capsys, "experiment", "--machine", str(machine),
@@ -402,9 +403,8 @@ def test_invert_command(capsys):
     assert "Found" in out and "recovered payload bits:" in out
 
 
-def test_invert_matches_experiment_row(capsys, monkeypatch):
+def test_invert_matches_experiment_row(capsys):
     # both draw x from random.Random(seed) and run inverter.invert_case
-    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 1)
     for seed in range(4):
         _, out, _ = run_cli(capsys, "invert", "--machine", "not", "--n", "5",
                             "--seed", str(seed))
@@ -415,13 +415,11 @@ def test_invert_matches_experiment_row(capsys, monkeypatch):
         assert row["attempts"] == attempts
 
 
-def test_experiment_command(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 5)
+def test_experiment_command(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code, out, _ = run_cli(capsys, "experiment", "--machine", "not",
                            "--n", "4", "--targets", "1", "--seed", "0",
                            "--out", str(out_csv))
     assert code == 0
     header = out_csv.read_text().splitlines()[0]
-    assert header == ("kind,machine,n,seed,forward_us,attempts,found,"
-                      "identity_rate,policy")
+    assert header == "kind,machine,n,seed,forward_us,attempts,found,policy"

@@ -13,11 +13,11 @@ from owflab.inverter import (
     LimitExceeded,
     NotFound,
     brute_invert,
-    invert_staf_target,
+    functions,
+    invert_case,
     owf_experiment,
     rows_to_csv,
     staf_payload,
-    staf_target,
 )
 from owflab.machine import library_machine
 from owflab.pcp import PairList, ptf
@@ -36,19 +36,29 @@ from owflab.tiling import (
     tiling_f,
 )
 
-# the attempt limit of the machine-targeted inversions below: no case here
-# comes near it
+# the attempt limit of the inversions below: no case here comes near it
 LIMIT = 1 << 20
 
 
+def _invert(kind, target, candidates, limit=LIMIT):
+    """brute_invert under the function's own policy."""
+    return brute_invert(kind, target, functions()[kind].policy, limit,
+                        candidates)
+
+
+def _words(n):
+    """Every bit string of length n, in lexicographic order."""
+    return ("".join(c) for c in itertools.product("01", repeat=n))
+
+
 def test_brute_invert_unparseable_target_is_fixed_point():
-    assert brute_invert("staf", "00") == Found("00", 0)
+    assert _invert("staf", "00", _words(2)) == Found("00", 0)
 
 
 def test_brute_invert_small_progressing_instance():
     sys = RewriteSystem((("10", "01"),))
     target = serialize_instance(sys, "0001")
-    out = brute_invert("staf", target)
+    out = _invert("staf", target, _words(4))
     assert isinstance(out, Found)
     # the found preimage forward-evaluates to the target
     assert staf(out.preimage) == target
@@ -59,17 +69,17 @@ def test_brute_invert_limit():
     target = serialize_instance(sys, "0001")
     # "0001" is stuck, so it is its own preimage at attempt 2; a limit of 1
     # stops after the failing candidate "0000"
-    out = brute_invert("staf", target, limit=1)
+    out = _invert("staf", target, _words(4), limit=1)
     assert out == LimitExceeded(1)
     with pytest.raises(ValueError):
-        brute_invert("staf", target, limit=0)
+        _invert("staf", target, _words(4), limit=0)
 
 
 def test_brute_invert_ptf_and_tiling_dispatch():
-    assert brute_invert("ptf", "00") == Found("00", 0)
-    assert brute_invert("tiling", "00") == Found("00", 0)
+    assert _invert("ptf", "00", iter([])) == Found("00", 0)
+    assert _invert("tiling", "00", iter([])) == Found("00", 0)
     with pytest.raises(ValueError):
-        brute_invert("nope", "00")
+        brute_invert("nope", "00", None, LIMIT, iter([]))
 
 
 def test_bad_tiling_candidates_are_skipped():
@@ -77,19 +87,22 @@ def test_bad_tiling_candidates_are_skipped():
     ts = TileSet((0, 1), (Tile(1, 0, 0, 0),))
     target = serialize_tiling_instance(ts, [0, 1])
     assert tiling_f(target) == target
-    out = brute_invert("tiling", target,
-                       candidates=iter([[0, 5], [0, 2], [0], [0, 1]]))
+    out = _invert("tiling", target, iter([[0, 5], [0, 2], [0], [0, 1]]))
     assert out == Found(target, 4)
 
 
 @pytest.mark.parametrize("count", [1 << 18, 1 << 28])
-def test_default_tiling_candidates_do_not_build_the_symbol_table(count):
-    # no tiles and an empty row: the one candidate is the empty row, over
-    # a table of 2^18 or 2^28 symbols that is never copied
-    target = gamma_encode(count + 1) + gamma_encode(1) + gamma_encode(1)
+def test_tiling_fits_does_not_build_the_symbol_table(count):
+    # no tiles and a one-cell row over a table of 2^18 or 2^28 symbols:
+    # the candidate's ids are tested against range(S) in place, and the
+    # table is never copied
+    target = serialize_tiling_instance(TileSet(range(count), ()),
+                                       [count - 1])
+    assert target.startswith(gamma_encode(count + 1) + gamma_encode(1))
     tracemalloc.start()
     try:
-        assert brute_invert("tiling", target) == Found(target, 1)
+        assert _invert("tiling", target, iter([[count - 1]])) == \
+            Found(target, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -150,18 +163,13 @@ def test_brute_invert_equals_the_instance_loop(kind, data):
     target = f(w) if data.draw(st.booleans()) else w
     x = parse(target)[1]
     if data.draw(st.booleans()):
-        given_cands = None
         cands = [list(c) if kind == "tiling" else "".join(c)
                  for c in itertools.product(symbols, repeat=len(x))]
     else:
-        given_cands = cands = data.draw(st.lists(
-            st.one_of(cand, st.just(x)), max_size=8))
+        cands = data.draw(st.lists(st.one_of(cand, st.just(x)), max_size=8))
     limit = data.draw(st.integers(1, len(cands) + 1))
     want = _reference_invert(f, parse, serialize, target, cands, limit)
-    got = brute_invert(kind, target, limit=limit,
-                       candidates=None if given_cands is None
-                       else iter(given_cands))
-    assert got == want
+    assert _invert(kind, target, iter(cands), limit) == want
 
 
 def test_one_inversion_parses_the_target_once(monkeypatch):
@@ -189,15 +197,13 @@ def test_one_inversion_parses_the_target_once(monkeypatch):
     for module in (semithue, pcp):
         monkeypatch.setattr(module, "parse_instance", counting)
     monkeypatch.setattr(kernels, "RuleIndex", CountedIndex)
-    assert brute_invert("staf", unevaluated, candidates=iter(cands)) == \
-        NotFound(16)
+    assert _invert("staf", unevaluated, iter(cands)) == NotFound(16)
     assert (len(parses), CountedIndex.built) == (1, 1)
     # a hit is confirmed by one staf call, which parses and indexes again
-    assert brute_invert("staf", image, candidates=iter(cands)) == \
-        Found(unevaluated, 16)
+    assert _invert("staf", image, iter(cands)) == Found(unevaluated, 16)
     assert (len(parses), CountedIndex.built) == (3, 3)
     # ptf never indexes its pairs
-    assert brute_invert("ptf", pcp_target) == Found(pcp_target, 1)
+    assert _invert("ptf", pcp_target, iter("01")) == Found(pcp_target, 1)
     assert (len(parses), CountedIndex.built) == (5, 3)
 
 
@@ -207,8 +213,7 @@ def test_staf_target_attempt_rank():
     m = library_machine("not")
     comp = compile_semithue(m, 6)
     for x in ("000000", "000101", "110011"):
-        target = staf_target(comp, x)
-        out = invert_staf_target(comp, target, LIMIT)
+        _, out = invert_case(comp, x, LIMIT)
         assert isinstance(out, Found)
         assert out.attempts == int(x, 2) + 1
         _, payload = parse_instance(out.preimage)
@@ -219,7 +224,6 @@ def test_staf_target_attempt_rank():
 def test_machine_targeted_inversion_parses_the_target_once(monkeypatch):
     comp = compile_semithue(library_machine("not"), 4)
     unevaluated = serialize_instance(comp.system, staf_payload(comp, "1111"))
-    image = staf(unevaluated)
     parses = []
     original = semithue.parse_instance
 
@@ -228,17 +232,22 @@ def test_machine_targeted_inversion_parses_the_target_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(semithue, "parse_instance", counting)
-    assert invert_staf_target(comp, unevaluated, LIMIT) == NotFound(16)
-    assert len(parses) == 1
-    # the second parse is the confirming staf call's
-    assert invert_staf_target(comp, image, LIMIT) == Found(unevaluated, 16)
-    assert len(parses) == 3
+    # the forward staf call parses, then the inversion parses the target
+    # once, whatever the number of attempts
+    assert invert_case(comp, "1111", 8)[1] == LimitExceeded(8)
+    assert len(parses) == 2
+    # the third parse is the confirming staf call's
+    assert invert_case(comp, "1111", LIMIT)[1] == Found(unevaluated, 16)
+    assert len(parses) == 5
 
 
 def test_machine_targeted_inversion_of_unparseable_target():
+    # the target is its own preimage before any of the machine's
+    # candidates is drawn
     comp = compile_semithue(library_machine("not"), 4)
-    assert invert_staf_target(comp, "00", LIMIT) == Found("00", 0)
-    assert invert_staf_target(comp, "00", LIMIT) == brute_invert("staf", "00")
+    cands = iter([staf_payload(comp, format(k, "04b")) for k in range(16)])
+    assert _invert("staf", "00", cands) == Found("00", 0)
+    assert len(list(cands)) == 16
 
 
 def test_undecomposable_input_is_staf_fixed_point():
@@ -247,29 +256,42 @@ def test_undecomposable_input_is_staf_fixed_point():
     x = "00101"  # leading zero run of 2: does not decompose
     w = serialize_instance(comp.system, staf_payload(comp, x))
     assert staf(w) == w
-    out = invert_staf_target(comp, w, LIMIT)
+    _, out = invert_case(comp, x, LIMIT)
     assert isinstance(out, Found)
     assert out.preimage == w
 
 
-def test_experiment_rows_and_csv(monkeypatch):
-    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 20)
+def test_experiment_rows_and_csv():
     m = library_machine("not")
     rows = owf_experiment(m, [4], 2, 9, LIMIT, 1)
     assert len(rows) == 2
     text = rows_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
-    assert lines[0] == ("kind,machine,n,seed,forward_us,attempts,found,"
-                        "identity_rate,policy")
+    assert lines[0] == "kind,machine,n,seed,forward_us,attempts,found,policy"
     assert len(lines) == 3
     for r in rows:
         assert r.found and r.attempts >= 1
-        assert 0.0 <= r.identity_rate <= 1.0
 
 
-def test_experiment_jobs_parallel_matches_sequential(monkeypatch):
-    monkeypatch.setattr(inverter, "IDENTITY_SAMPLES", 5)
+def test_experiment_evaluates_only_its_cases(monkeypatch):
+    # per case, one forward staf call builds the target and one call
+    # confirms the preimage found; nothing else is evaluated
+    calls = []
+    original = semithue.staf
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (semithue, inverter):
+        monkeypatch.setattr(module, "staf", counting)
+    rows = owf_experiment(library_machine("not"), [4], 2, 9, LIMIT, 1)
+    assert all(r.found for r in rows)
+    assert len(calls) <= 2 * len(rows), len(calls)
+
+
+def test_experiment_jobs_parallel_matches_sequential():
     m = library_machine("not")
     seq = owf_experiment(m, [4], 2, 5, LIMIT, 1)
     par = owf_experiment(m, [4], 2, 5, LIMIT, 2)
