@@ -51,6 +51,12 @@ class RewriteSystem:
         """The left sides as a kernels.RuleIndex, built on first use."""
         return kernels.RuleIndex(self.lhs)
 
+    @cached_property
+    def head(self):
+        """The rules as bits: gamma(m+1), then gamma(len+1)+bits per side."""
+        codes = [gamma_encode(len(s) + 1) + s for r in self.rules for s in r]
+        return gamma_encode(len(self.rules) + 1) + "".join(codes)
+
 
 @dataclass(frozen=True)
 class DeterminismPolicy:
@@ -83,13 +89,8 @@ def det_closure(sys: RewriteSystem, w: str, budget: int,
 # --- pure-string instance encoding ---------------------------------------
 
 def serialize_instance(sys: RewriteSystem, payload: str) -> str:
-    """gamma(m+1), then gamma(len+1)+bits per rule string, then payload."""
-    out = [gamma_encode(len(sys.rules) + 1)]
-    for g, h in sys.rules:
-        out.append(gamma_encode(len(g) + 1) + g)
-        out.append(gamma_encode(len(h) + 1) + h)
-    out.append(payload)
-    return "".join(out)
+    """sys.head (the rules, encoded once per system), then payload."""
+    return sys.head + payload
 
 
 def parse_instance(bits: str):
@@ -102,23 +103,24 @@ def parse_instance(bits: str):
     if got is None:
         raise InstanceParseError("truncated or non-bit rule count")
     m, pos = got
-    m -= 1
     rules = []
-    for k in range(2 * m):
+    for k in range(2 * m - 2):
         got = gamma_decode(bits, pos)
         if got is None:
             raise InstanceParseError(
                 f"truncated or non-bit length of rule string {k}")
-        ln, pos = got
-        ln -= 1
-        if pos + ln > len(bits):
+        ln, start = got
+        pos = start + ln - 1
+        if pos > len(bits):
             raise InstanceParseError(f"truncated rule string {k}")
-        rules.append(bits[pos : pos + ln])
-        pos += ln
+        rules.append(bits[start:pos])
     payload = bits[pos:]
     if not is_bits(payload):
         raise InstanceParseError("payload must be a bit string")
-    return RewriteSystem(tuple(zip(rules[0::2], rules[1::2]))), payload
+    sys = RewriteSystem(tuple(zip(rules[0::2], rules[1::2])))
+    # gamma codes are canonical, so serializing sys gives back this prefix
+    object.__setattr__(sys, "head", bits[:pos])
+    return sys, payload
 
 
 def one_way(w: str, parse, closure, budget, serialize, policy):

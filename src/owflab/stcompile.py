@@ -133,15 +133,10 @@ def st_decode_output(comp: StCompilation, w: str):
     """Extract y from code($)·y·code($); NOT_FINAL for anything else."""
     dollar = comp.table.code(MARKER)
     l = comp.table.code_len
-    if len(w) < 2 * l:
-        return NOT_FINAL
-    if not (w.startswith(dollar) and w.endswith(dollar)):
+    if len(w) < 2 * l or not (w.startswith(dollar) and w.endswith(dollar)):
         return NOT_FINAL
     y = w[l : len(w) - l]
-    if not is_bits(y):
+    if not is_bits(y) or any(code in y for code in comp.table.codes.values()):
         return NOT_FINAL
-    for code in comp.table.codes.values():
-        if code in y:
-            return NOT_FINAL
     return y
 

@@ -1,8 +1,9 @@
 """Reference figures that more than one test file checks the library
 against, each computed straight from its definition: the rule counts of
-the semi-Thue compiler's schemas and the laws of the default-uniform
-sampler."""
+the semi-Thue compiler's schemas, the laws of the default-uniform
+sampler and the bit format of a rewrite system's rules."""
 
+from owflab.bitcodes import gamma_encode
 from owflab.coding import BLOCKS
 from owflab.machine import RIGHT
 
@@ -33,3 +34,13 @@ def int_probability(d, n):
 def length_probability(d, ell):
     """P(|u| = ell) under the sampler d's truncated 1/ℓ² length law."""
     return _inverse_square_law(ell, d.max_len)
+
+
+def serialized_rules(sys):
+    """The rules of sys in the instance bit format, one gamma code per
+    count and length: gamma(m+1), then gamma(len+1)+bits per rule string."""
+    out = [gamma_encode(len(sys.rules) + 1)]
+    for g, h in sys.rules:
+        out.append(gamma_encode(len(g) + 1) + g)
+        out.append(gamma_encode(len(h) + 1) + h)
+    return "".join(out)

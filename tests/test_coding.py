@@ -131,3 +131,15 @@ def test_build_rejects_bad_alphabets():
 @given(st.integers(min_value=1, max_value=1000))
 def test_code_is_bits(n):
     assert is_bits(gamma_encode(n))
+
+
+@given(st.text())
+def test_is_bits_is_membership_in_01(s):
+    assert is_bits(s) == all(c in "01" for c in s)
+
+
+def test_is_bits_rejects_every_other_digit():
+    # int(·, 2) accepts the non-ASCII digits; the instance formats do not
+    assert is_bits("") and is_bits("0110")
+    for s in ("\x00", "\u0661", "\uff101", "\U0001d7ce", "01\ud800"):
+        assert not is_bits(s), repr(s)

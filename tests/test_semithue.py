@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import serialized_rules
 from owflab import kernels
+from owflab.bitcodes import gamma_encode
 from owflab.semithue import (
     DeterminismPolicy,
     InstanceParseError,
@@ -113,6 +115,40 @@ def test_round_trip_random(rules, payload):
     sys = RewriteSystem(tuple(rules))
     sys2, payload2 = parse_instance(serialize_instance(sys, payload))
     assert sys2 == sys and payload2 == payload
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text("01", max_size=200),
+                 # a rule count of 1-4 up front, so that more strings parse
+                 st.builds(lambda m, tail: gamma_encode(m) + tail,
+                           st.integers(2, 5), st.text("01", max_size=200))))
+def test_parse_then_serialize_gives_back_the_input(w):
+    try:
+        parsed = parse_instance(w)
+    except InstanceParseError:
+        return
+    assert serialize_instance(*parsed) == w
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(st.text("01", min_size=1, max_size=6),
+                          st.text("01", max_size=6)), max_size=5),
+       st.booleans())
+def test_head_is_the_per_rule_gamma_encoding(rules, as_pairs):
+    from owflab.pcp import PairList
+    sys = (PairList if as_pairs else RewriteSystem)(tuple(rules))
+    assert sys.head == serialized_rules(sys)
+    assert serialize_instance(sys, "01") == serialized_rules(sys) + "01"
+
+
+def test_head_of_no_rules_and_of_empty_right_sides():
+    from owflab.pcp import PairList
+    for sys in (RewriteSystem(()), PairList(()),
+                RewriteSystem((("1", ""), ("01", ""))),
+                PairList((("1", ""),))):
+        assert sys.head == serialized_rules(sys)
+        assert parse_instance(sys.head) == (RewriteSystem(sys.rules), "")
+    assert RewriteSystem(()).head == "1"  # gamma(0 + 1)
 
 
 def test_parse_instance_rejects_junk():
