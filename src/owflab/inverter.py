@@ -256,8 +256,8 @@ def owf_experiment(machine, ns, targets_per_n: int, seed: int,
     random inputs per n.  jobs > 1 spreads the cases over processes; rows
     keep their sequential order.
     """
-    # imported here: the process pool's modules add about 2.5 MB of
-    # resident memory to every process that imports this module
+    # imported here: the process pool's modules add about 2.5 MB to the
+    # resident set of every process that imports this module
     from concurrent.futures import ProcessPoolExecutor
 
     comps = {n: compile_semithue(machine, n) for n in ns}

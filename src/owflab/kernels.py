@@ -18,7 +18,9 @@ search budget counts as survival, never as death.  This matters for the
 compiled shuttling systems: a wrong block choice can keep consuming the
 tail of a code for a couple of dozen steps before sticking, so a pure
 "dies within d steps" horizon can neither kill it nor keep the live
-branch on small inputs.
+branch on small inputs.  Each candidate is searched afresh, so a step's
+answer depends on the step alone (the system, the string, the reference
+length and the budget), not on the searches before it.
 
 Pair lists (pcp_*): a wrong rotation choice sticks almost immediately, so
 the deepest-survivor rule suffices: measure each candidate's longest
@@ -261,21 +263,17 @@ def _st_matches(lhs, lists, w, up, p, i):
     return matches
 
 
-def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo, lists):
+def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, lists):
     """Can root's string still reach a stuck string of length ref_len?
 
     root, like each entry of the search stack, is (s, w, p, i): s is w
-    with rule i applied at p.  memo caches proven answers, and lists match
-    lists (_st_matches), across the calls of one closure.  DFS with a node
-    budget; exhausting the budget returns True without caching.
+    with rule i applied at p.  lists is the closure's table of match lists
+    (_st_matches).  DFS that charges each string it pushes to node_budget;
+    exhausting the budget answers True.  The answer depends only on the
+    system, root, ref_len and the budget, never on earlier searches.
     """
-    s = root[0]
-    got = memo.get(s)
-    if got is not None:
-        return got
     stack = [root]
-    visited = {s}
-    parent = {s: None}
+    visited = {root[0]}
     budget = node_budget
     while stack:
         w, up, p, i = stack.pop()
@@ -286,41 +284,26 @@ def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, memo, lists):
             raise _Overflow
         if not succ:
             if len(w) == ref_len:
-                node = w
-                while node is not None:
-                    memo[node] = True
-                    node = parent[node]
                 return True
             continue
         for y, p, i in succ:
             if y in visited:
                 continue
-            cached = memo.get(y)
-            if cached is False:
-                continue
-            if cached:
-                node = w
-                while node is not None:
-                    memo[node] = True
-                    node = parent[node]
-                return True
             budget -= 1
             if budget < 0:
-                return True  # unproven; do not cache
+                return True  # unproven
             visited.add(y)
-            parent[y] = w
             stack.append((y, w, p, i))
-    for w in visited:
-        memo[w] = False
     return False
 
 
-def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, memo, lists):
+def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, lists):
     """One deterministic rewrite step.  mode: 0 strict, 1 lookahead.
     The lookahead keeps a branch that can reach a stuck string of length
-    ref_len (_st_alive); memo and lists are the closure's proven answers
-    and its table of match lists (_st_matches).  A unique step stores its
-    successor's list there when w's list is kept."""
+    ref_len (_st_alive), each branch searched afresh; lists is the
+    closure's table of match lists (_st_matches), which only saves work.
+    A unique step stores its successor's list there when w's list is
+    kept."""
     matches = _st_matches(lhs, lists, w, None, -1, -1)
     if mode == 0 and len(matches) > 1:
         return ("Ambiguous", w, -1, -1, len(matches))
@@ -335,7 +318,7 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, memo, lists):
         try:
             for y, p, i in succ:
                 if _st_alive(lhs, rhs, (y, w, p, i), ref_len, max_branch,
-                             node_budget, memo, lists):
+                             node_budget, lists):
                     survivors.append((y, p, i))
                     if len(survivors) > 1:
                         break
@@ -353,13 +336,12 @@ def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, memo, lists):
 def st_closure(lhs, rhs, w, budget, policy, want_trace):
     """Iterate st_step under policy while unique; see _close.  lhs is a
     RuleIndex.  Every step's lookahead measures usefulness against the
-    initial length and shares one memo and one table of match lists."""
+    initial length and reads one table of match lists."""
     mode, depth, branch = policy.mode_id, policy.depth, MAX_BRANCH
     ref_len = len(w)
-    memo, lists = {}, {}
+    lists = {}
     return _close(
-        lambda s: st_step(lhs, rhs, s, mode, depth, branch, ref_len, memo,
-                          lists),
+        lambda s: st_step(lhs, rhs, s, mode, depth, branch, ref_len, lists),
         w, budget, want_trace)
 
 

@@ -35,16 +35,12 @@ class DefaultUniform:
 class StsSample:
     system: RewriteSystem
     payload: str
-    n: int
-    target: str  # the decision problem's target string; unused by staf
 
 
 @dataclass(frozen=True)
 class PcpSample:
     pairs: PairList
     payload: str
-    n: int
-    target: str
 
 
 def make_rng(d: DefaultUniform) -> random.Random:
@@ -75,16 +71,18 @@ def sample_string(d: DefaultUniform, rng: random.Random) -> str:
 
 
 def _draw(d: DefaultUniform, rng: random.Random, cls):
-    """Random bound n, rule count m, rules, payload and target string, in
-    the field order of StsSample and PcpSample."""
-    n = sample_int(d, rng)
+    """Random rules and payload, in the field order of StsSample and
+    PcpSample.  The decision problem's bound n and target string are
+    drawn too, though nothing reads them, so that a seed gives the
+    instances it always gave."""
+    sample_int(d, rng)  # n
     m = sample_int(d, rng)
     rules = tuple(
         (sample_string(d, rng), sample_string(d, rng)) for _ in range(m)
     )
     payload = sample_string(d, rng)
-    target = sample_string(d, rng)
-    return cls(rules), payload, n, target
+    sample_string(d, rng)  # the target
+    return cls(rules), payload
 
 
 def sample_sts_instance(d: DefaultUniform, rng: random.Random) -> StsSample:

@@ -90,18 +90,18 @@ class AmbiguousRow:
 
 # --- compiler -------------------------------------------------------------
 
-def _variants(m: Machine, split: bool):
+def _variants(m: Machine):
     """Occurring name variants of each state (the start state also occurs
     unsplit, as the bottom row writes it before any instruction ran)."""
     v = {q: set() for q in m.states}
     v[m.start].add(m.start)
     for (_, _), (p, _, d) in m.transitions.items():
-        v[p].add(f"{p}_{d}" if split else p)
+        v[p].add(f"{p}_{d}")
     return v
 
 
-def compile_tileset(m: Machine, split: bool = True) -> TileSet:
-    variants = _variants(m, split)
+def compile_tileset(m: Machine) -> TileSet:
+    variants = _variants(m)
     tiles = {}
 
     def add(north, south, east, west):
@@ -113,7 +113,7 @@ def compile_tileset(m: Machine, split: bool = True) -> TileSet:
         for a in TAPE_SYMBOLS:
             add((hv, a), (hv, a), EMPTY, EMPTY)
     for (q, a), (p, b, d) in sorted(m.transitions.items()):
-        pv = (f"{p}_{d}" if split else p)
+        pv = f"{p}_{d}"
         if d == RIGHT:
             for qv in sorted(variants[q]):
                 add(b, (qv, a), pv, EMPTY)

@@ -204,12 +204,10 @@ def test_acceptance_7_determinism_regressions():
             break
         x = succ[0][1]
     # (c) unsplit compile of a two-direction machine is ambiguous
-    from test_tiling import two_direction_machine
+    from test_tiling import two_direction_machine, unsplit_tileset
     zz = two_direction_machine()
-    split = tile_closure(compile_tileset(zz, split=True),
-                         bottom_row(zz, "01"), 6)
-    unsplit = tile_closure(compile_tileset(zz, split=False),
-                           bottom_row(zz, "01"), 6)
+    split = tile_closure(compile_tileset(zz), bottom_row(zz, "01"), 6)
+    unsplit = tile_closure(unsplit_tileset(zz), bottom_row(zz, "01"), 6)
     c = isinstance(split, Completed) and isinstance(unsplit, AmbiguousRow)
     verdict(7, a and b and c,
             f"regressions: strict-identity/lookahead-success {a}, "

@@ -1,11 +1,12 @@
 """The engine (owflab.kernels) against naive references and a pinned digest.
 
-The references below restate each kernel from its definition, without the
-engine's shortcuts: a sliding-window scan for the rewrite matches, the
-equation u·y = x·v for the pair yields, and the strict step rules.  The
-lookahead steps and the closures have no independent reference, so their
-outputs on seeded random systems are pinned by a sha256 digest; a change
-to the matcher or the closure loop that alters any of them fails here.
+The references (tests/oracles.py) restate each kernel from its definition,
+without the engine's shortcuts: a sliding-window scan for the rewrite
+matches, the equation u·y = x·v for the pair yields, and the strict and
+lookahead steps over those with no index or table.  The closures are
+checked as kernels._close driven by the reference steps.  The outputs of
+steps and closures on seeded random systems are also pinned by a sha256
+digest, so that any change to one of them is seen and declared.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import naive_applications, naive_find_matches
 from owflab import kernels
 from owflab.inverter import staf_payload
 from owflab.machine import LIBRARY_NAMES, library_machine
@@ -25,10 +28,9 @@ from owflab.semithue import DeterminismPolicy, LOOKAHEAD8, staf_budget
 from owflab.stcompile import compile_semithue
 from owflab.tiling import Tile, TileSet, tiling_closure
 
-# sha256 of _engine_outputs(), recorded from the engine as it was before
-# its two closure loops were merged into one
-ENGINE_DIGEST = ("b730f6622d98e2f9d9742b9509fd3464e74568c7"
-                 "efcc5bf8a3f2214cb301823d")
+# sha256 of the reprs of _engine_outputs(), one a line
+ENGINE_DIGEST = ("05126911865eb4a83cf560e5b089389003f20ace"
+                 "0c5c1b0055278580c10ef173")
 
 
 def bits(rng, lo, hi):
@@ -47,47 +49,11 @@ def random_pairs(rng):
     return us, vs
 
 
-# --- naive references -----------------------------------------------------
-
-def naive_find_matches(lhs, w):
-    return [(p, i) for p in range(len(w)) for i, g in enumerate(lhs)
-            if w[p:p + len(g)] == g]
-
-
-def naive_applications(us, vs, x):
-    out = []
-    for i, (u, v) in enumerate(zip(us, vs)):
-        y = (x + v)[len(u):]
-        if u + y == x + v:
-            out.append((i, y))
-    return out
-
-
-def naive_st_step_strict(lhs, rhs, w):
-    matches = naive_find_matches(lhs, w)
-    if not matches:
-        return ("", w, -1, -1, 0)
-    if len(matches) > 1:
-        return ("Ambiguous", w, -1, -1, len(matches))
-    p, i = matches[0]
-    return (None, w[:p] + rhs[i] + w[p + len(lhs[i]):], p, i, 1)
-
-
 def first_st_step(lhs, rhs, w, mode, depth, max_branch):
     """kernels.st_step as the first step of a closure from w: a fresh rule
-    index, memo and table of match lists, and w's length as reference."""
+    index and table of match lists, and w's length as reference."""
     return kernels.st_step(kernels.RuleIndex(lhs), rhs, w, mode, depth,
-                           max_branch, len(w), {}, {})
-
-
-def naive_pcp_step_strict(us, vs, x):
-    apps = naive_applications(us, vs, x)
-    if not apps:
-        return ("", x, -1, -1, 0)
-    if len(apps) > 1:
-        return ("Ambiguous", x, -1, -1, len(apps))
-    i, y = apps[0]
-    return (None, y, -1, i, 1)
+                           max_branch, len(w), {})
 
 
 # --- the engine against the references -----------------------------------
@@ -215,7 +181,7 @@ def test_strict_st_step_matches_reference():
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
         assert first_st_step(lhs, rhs, w, 0, 3, 16) == \
-            naive_st_step_strict(lhs, rhs, w), (lhs, rhs, w)
+            oracles.st_step(lhs, rhs, w, 0, 3, 16, len(w)), (lhs, rhs, w)
 
 
 def test_pcp_applications_solve_the_yield_equation():
@@ -227,7 +193,7 @@ def test_pcp_applications_solve_the_yield_equation():
         assert kernels.pcp_applications(index, vs, x) == \
             naive_applications(us, vs, x)
         assert kernels.pcp_step(index, vs, x, 0, 1, 16, 2) == \
-            naive_pcp_step_strict(us, vs, x), (us, vs, x)
+            oracles.pcp_step(us, vs, x, 0, 1, 16, 2), (us, vs, x)
 
 
 def test_lookahead_step_is_a_reference_step():
@@ -313,26 +279,11 @@ def _engine_outputs():
     return out
 
 
-# the integer step kinds and closure statuses the digest was recorded with
-_KIND = {None: 0, "": 1, "Ambiguous": 2, "BranchOverflow": 3}
-_STATUS = {"": 0, "Ambiguous": 1, "BudgetExceeded": 2, "BranchOverflow": 3}
-
-
-def recorded(out):
-    """An engine output in the form ENGINE_DIGEST was recorded in: a step
-    with an integer kind, a closure as (integer status, final string,
-    steps, [(rule, pos, length after), ...])."""
-    if isinstance(out, kernels.ClosureOutcome):
-        return (_STATUS[out.reason], out.result, out.steps,
-                [(t.rule, t.pos, t.len_after) for t in out.trace])
-    return (_KIND[out[0]],) + out[1:]
-
-
 def test_engine_outputs_are_pinned(monkeypatch):
     # the branch and work limits the digest was recorded with
     monkeypatch.setattr(kernels, "MAX_BRANCH", 16)
     monkeypatch.setattr(kernels, "WORK_LIMIT", 5000)
-    text = "\n".join(repr(recorded(r)) for r in _engine_outputs())
+    text = "\n".join(map(repr, _engine_outputs()))
     assert hashlib.sha256(text.encode()).hexdigest() == ENGINE_DIGEST
 
 
@@ -501,3 +452,57 @@ def test_dense_match_lists_stay_out_of_the_closure_table():
     assert out == (False, "011", 1, "Ambiguous",
                    (kernels.TraceStep(1, 4, 0, 3),))
     assert peak < 2_000_000, peak
+
+
+# --- steps and closures against the references ------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(rewrite_systems(), st.sampled_from([0, 1]), st.integers(1, 3),
+       st.sampled_from([4, 16]))
+# a first step that a memo shared across the closure's searches left
+# ambiguous, because an earlier candidate's search had filled it
+@example((["0001", "011", "00", "1"], ["110", "1", "00", ""], "0100111001"),
+         1, 3, 16)
+# a closure whose third step such a memo made unique
+@example((["010", "111", "011"], ["101", "000", "11"], "10010101"), 1, 3, 16)
+def test_rewrite_steps_and_closures_equal_the_reference(system, mode, depth,
+                                                        branch):
+    """st_step, as a closure's first step, is the reference step, and
+    st_closure is the closure loop driven by the reference step."""
+    sides, rhs, w = system
+
+    def reference(s):
+        return oracles.st_step(sides, rhs, s, mode, depth, branch, len(w))
+
+    assert first_st_step(sides, rhs, w, mode, depth, branch) == reference(w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "MAX_BRANCH", branch)
+        got = kernels.st_closure(kernels.RuleIndex(sides), rhs, w, 20,
+                                 policy(mode, depth), True)
+    assert got == kernels._close(reference, w, 20, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(bit_text(1, 4), bit_text(0, 4)), min_size=1,
+                max_size=5),
+       bit_text(0, 8),
+       # (mode, depth, branch, successor cap)
+       st.sampled_from([(1, 1, 16, 2), (1, 5, 16, 0), (1, 3, 4, 0),
+                        (0, 1, 16, 2)]))
+def test_yield_steps_and_closures_equal_the_reference(pairs, x, config):
+    """pcp_step is the reference step, and pcp_closure is the closure loop
+    driven by the reference step."""
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    mode, depth, branch, cap = config
+
+    def reference(s):
+        return oracles.pcp_step(us, vs, s, mode, depth, branch, cap)
+
+    assert kernels.pcp_step(kernels.pair_index(us), vs, x, mode, depth,
+                            branch, cap) == reference(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "MAX_BRANCH", branch)
+        got = kernels.pcp_closure(us, vs, x, 40, policy(mode, depth, cap),
+                                  True)
+    assert got == kernels._close(reference, x, 40, True)

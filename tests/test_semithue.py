@@ -25,11 +25,12 @@ from owflab.semithue import (
 
 
 def step(sys, w, policy):
-    """One kernels.st_step under policy, as a closure's first step from w:
-    (reason, result), reason None when the step is unique."""
+    """One kernels.st_step under policy, as a closure's first step from w
+    (w's length as reference, a fresh table of match lists): (reason,
+    result), reason None when the step is unique."""
     reason, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
                                          policy.depth, kernels.MAX_BRANCH,
-                                         len(w), {}, {})
+                                         len(w), {})
     return reason, y
 
 

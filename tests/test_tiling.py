@@ -232,12 +232,27 @@ def two_direction_machine():
     return Machine("zigzag", ("s", "p", "h"), "s", "h", t)
 
 
+def unsplit_tileset(m):
+    """compile_tileset(m) without the direction split: each state variant
+    p_R or p_L named p again, and the tiles that then coincide kept once."""
+    ts = compile_tileset(m)
+    names = {f"{p}_{d}": p for p, _, d in m.transitions.values()}
+
+    def rename(edge):
+        if isinstance(edge, tuple):  # a head cell (state, symbol)
+            return (names.get(edge[0], edge[0]), edge[1])
+        return names.get(edge, edge)
+
+    return TileSet(tuple(dict.fromkeys(map(rename, ts.symbols))),
+                   tuple(dict.fromkeys(Tile(*map(rename, t))
+                                       for t in ts.tiles)))
+
+
 def test_unsplit_compile_is_ambiguous_split_is_not():
     m = two_direction_machine()
     x = "01"
-    split = tile_closure(compile_tileset(m, split=True), bottom_row(m, x), 6)
-    unsplit = tile_closure(compile_tileset(m, split=False), bottom_row(m, x),
-                           6)
+    split = tile_closure(compile_tileset(m), bottom_row(m, x), 6)
+    unsplit = tile_closure(unsplit_tileset(m), bottom_row(m, x), 6)
     assert isinstance(split, Completed)
     assert isinstance(unsplit, AmbiguousRow)
 
