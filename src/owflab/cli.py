@@ -49,8 +49,7 @@ def _parse_semantics(text: str) -> DeterminismPolicy:
         return PAPER_POLICY
     if text.startswith("lookahead:"):
         try:
-            return DeterminismPolicy(mode="lookahead",
-                                     depth=int(text.split(":", 1)[1]))
+            return DeterminismPolicy(depth=int(text.split(":", 1)[1]))
         except ValueError:
             pass
     raise CliError(f"unknown semantics {text!r} "
@@ -235,9 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["semithue", "tiling", "pcp"])
     e.add_argument("--instance", required=True)
     e.add_argument("--semantics",
-                   help="strict | lookahead:D | paper-pcp (default: the "
-                        "policy of staf or ptf, lookahead:8 for semithue, "
-                        "paper-pcp for pcp; string backends only)")
+                   help="strict | lookahead:D | paper-pcp (strict is a "
+                        "successor cap of 1, paper-pcp lookahead:1 with a "
+                        "cap of 2; default: the policy of staf or ptf, "
+                        "lookahead:8 for semithue, paper-pcp for pcp; "
+                        "string backends only)")
     e.add_argument("--trace", help="trace JSONL file (string backends only)")
     e.set_defaults(fn=_cmd_eval)
 

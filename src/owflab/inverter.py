@@ -241,7 +241,7 @@ class ExperimentRow:
     forward_us: float
     attempts: int
     found: bool
-    policy: str = f"{LOOKAHEAD8.mode}:{LOOKAHEAD8.depth}"
+    policy: str = f"lookahead:{LOOKAHEAD8.depth}"
 
 
 CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]

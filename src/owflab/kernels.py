@@ -5,8 +5,11 @@ None when the step is unique and the closure goes on.  "" is stuck, which
 is terminal; "Ambiguous" and "BranchOverflow" are the step's; _close adds
 "BudgetExceeded".  The closure's ClosureOutcome carries the reason.
 
-Lookahead pruning differs between the two relations, because their wrong
-branches die differently.
+A step is capped first: with more (position, rule) matches, or more
+applicable pairs, than its policy's successor cap it is Ambiguous.  The
+cap 1 is strict determinism; 0 is no cap.  Among the candidates left,
+lookahead pruning differs between the two relations, because their
+wrong branches die differently.
 
 Rewrite systems (st_*): a candidate successor survives when the bounded
 search below it can still reach a *useful* stuck string, one whose length
@@ -297,15 +300,15 @@ def _st_alive(lhs, rhs, root, ref_len, max_branch, node_budget, lists):
     return False
 
 
-def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, lists):
-    """One deterministic rewrite step.  mode: 0 strict, 1 lookahead.
-    The lookahead keeps a branch that can reach a stuck string of length
-    ref_len (_st_alive), each branch searched afresh; lists is the
-    closure's table of match lists (_st_matches), which only saves work.
-    A unique step stores its successor's list there when w's list is
-    kept."""
+def st_step(lhs, rhs, w, cap, depth, max_branch, ref_len, lists):
+    """One deterministic rewrite step.  cap bounds the (position, rule)
+    matches; strict is cap 1, 0 is unlimited.  The lookahead keeps a
+    branch that can reach a stuck string of length ref_len (_st_alive),
+    each branch searched afresh; lists is the closure's table of match
+    lists (_st_matches), which only saves work.  A unique step stores its
+    successor's list there when w's list is kept."""
     matches = _st_matches(lhs, lists, w, None, -1, -1)
-    if mode == 0 and len(matches) > 1:
+    if cap and len(matches) > cap:
         return ("Ambiguous", w, -1, -1, len(matches))
     succ = _st_successors(lhs, rhs, w, matches)
     if not succ:
@@ -337,30 +340,25 @@ def st_closure(lhs, rhs, w, budget, policy, want_trace):
     """Iterate st_step under policy while unique; see _close.  lhs is a
     RuleIndex.  Every step's lookahead measures usefulness against the
     initial length and reads one table of match lists."""
-    mode, depth, branch = policy.mode_id, policy.depth, MAX_BRANCH
+    cap, depth, branch = policy.successor_cap, policy.depth, MAX_BRANCH
     ref_len = len(w)
     lists = {}
     return _close(
-        lambda s: st_step(lhs, rhs, s, mode, depth, branch, ref_len, lists),
+        lambda s: st_step(lhs, rhs, s, cap, depth, branch, ref_len, lists),
         w, budget, want_trace)
 
 
 # --- Post correspondence --------------------------------------------------
 
-class PairIndex(dict):
-    """A pair list's left strings by length: {length: {u: [pair index,
-    ...]}}.  A string x at least as long as u starts with u exactly when
-    x[:|u|] is a key of the table for |u|."""
-
-
 def pair_index(us):
-    """The PairIndex of the left strings us.
+    """The left strings us by length: {length: {u: [pair index, ...]}}.
+    A string x at least as long as u starts with u exactly when x[:|u|]
+    is a key of the table for |u|.
 
-    Filled in one loop, with no __init__ of its own: a sampled instance
-    has one or two pairs and a closure of a few steps, so the build is a
-    visible share of its cost.
+    Filled in one loop: a sampled instance has one or two pairs and a
+    closure of a few steps, so the build is a visible share of its cost.
     """
-    table = PairIndex()
+    table = {}
     for i, u in enumerate(us):
         table.setdefault(len(u), {}).setdefault(u, []).append(i)
     return table
@@ -370,7 +368,7 @@ def pcp_applications(us, vs, x):
     """All (pair index, yielded string), one per applicable pair, in pair
     index order.
 
-    us is the PairIndex of the left strings.  A pair whose u is longer than
+    us is the pair_index of the left strings.  A pair whose u is longer than
     x applies when x is a prefix of u and v starts with the rest of u;
     only the lengths above |x| are searched that way.  Hits at two lengths
     are sorted back into index order, on which the choice among equal
@@ -451,17 +449,10 @@ def _pcp_depth(us, vs, x, cap, budget):
             stack.append([_pcp_expand(us, vs, succ[k][0], budget), 0, 0])
 
 
-def pcp_step(us, vs, x, mode, depth, max_branch, succ_cap):
-    """One deterministic yield step on the PairIndex us.  succ_cap bounds
-    applicable pairs."""
+def pcp_step(us, vs, x, depth, max_branch, succ_cap):
+    """One deterministic yield step on the pair_index us.  succ_cap bounds
+    the applicable pairs; strict is cap 1, 0 is unlimited."""
     succ, napps = _pcp_successors(us, vs, x)
-    if mode == 0:
-        if napps == 0:
-            return ("", x, -1, -1, 0)
-        if napps == 1:
-            y, i = succ[0]
-            return (None, y, -1, i, 1)
-        return ("Ambiguous", x, -1, -1, napps)
     if not succ:
         return ("", x, -1, -1, 0)
     if succ_cap and napps > succ_cap:
@@ -497,8 +488,7 @@ def pcp_closure(us, vs, x, budget, policy, want_trace):
     """Iterate pcp_step under policy while unique; see _close.  The pair
     index is built once here and passed to every step in place of us."""
     us = pair_index(us)
-    mode, depth, branch = policy.mode_id, policy.depth, MAX_BRANCH
-    cap = policy.successor_cap
+    depth, branch, cap = policy.depth, MAX_BRANCH, policy.successor_cap
     return _close(
-        lambda s: pcp_step(us, vs, s, mode, depth, branch, cap),
+        lambda s: pcp_step(us, vs, s, depth, branch, cap),
         x, budget, want_trace)

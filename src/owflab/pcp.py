@@ -30,7 +30,7 @@ from .semithue import (
 )
 from .stcompile import CompileError, NOT_FINAL, check_states
 
-PAPER_POLICY = DeterminismPolicy(mode="lookahead", depth=1, successor_cap=2)
+PAPER_POLICY = DeterminismPolicy(depth=1, successor_cap=2)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,16 @@
 one-way function, and the string-pair instance format that STAF and PTF
 share (bits and text).
 
-Determinism comes in two flavours.  Strict keeps a step only when exactly
-one (rule, position) pair applies; two positions of the same rule already
-count as nondeterministic.  Lookahead(d) additionally discards candidate
-branches that provably cannot reach a terminal of the closure's initial
-length any more (a bounded search per branch, sized by d and
-kernels.MAX_BRANCH), which is what makes the compiled block-shuttling
-systems evaluable: their raw-bit phase is never strictly deterministic,
-but every wrong block choice wrecks the code alignment and runs into a
-dead end.
+A DeterminismPolicy is a lookahead depth d and a successor cap.  A step
+with more (rule, position) matches than the cap is Ambiguous; strict is
+the cap 1, so two positions of the same rule already count as
+nondeterministic.  Among the candidates the cap lets through, the
+lookahead discards branches that provably cannot reach a terminal of the
+closure's initial length any more (a bounded search per branch, sized by
+d and kernels.MAX_BRANCH), which is what makes the compiled
+block-shuttling systems evaluable: their raw-bit phase is never strictly
+deterministic, but every wrong block choice wrecks the code alignment
+and runs into a dead end.
 """
 
 from __future__ import annotations
@@ -60,23 +61,20 @@ class RewriteSystem:
 
 @dataclass(frozen=True)
 class DeterminismPolicy:
-    mode: str = "lookahead"  # "strict" or "lookahead"
     depth: int = DEFAULT_LOOKAHEAD
-    successor_cap: int = 0  # 0 = unlimited applicable pairs (pcp only)
+    # a step with more (rule, position) matches or applicable pairs than
+    # this is Ambiguous; 0 = unlimited
+    successor_cap: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("strict", "lookahead"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
-        if self.mode == "lookahead" and self.depth < 1:
+        if self.depth < 1:
             raise ValueError("lookahead depth must be >= 1")
-
-    @property
-    def mode_id(self) -> int:
-        return 0 if self.mode == "strict" else 1
+        if self.successor_cap < 0:
+            raise ValueError("successor cap must be >= 0")
 
 
-STRICT = DeterminismPolicy(mode="strict")
-LOOKAHEAD8 = DeterminismPolicy(mode="lookahead", depth=8)
+STRICT = DeterminismPolicy(successor_cap=1)
+LOOKAHEAD8 = DeterminismPolicy(depth=8)
 
 
 def det_closure(sys: RewriteSystem, w: str, budget: int,

@@ -109,14 +109,17 @@ def _st_alive(lhs, rhs, s, ref_len, max_branch, budget):
     return False
 
 
-def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len):
+def st_step(lhs, rhs, w, mode, depth, max_branch, ref_len, succ_cap):
     """kernels.st_step from its definition (mode 0 strict, 1 lookahead):
-    a step tuple (reason, y, pos, rule, count).  The lookahead keeps the
-    candidates whose own search (_st_alive, max_branch·(depth+1) nodes)
-    reaches a useful stuck string, searching them in order until two
-    survive."""
+    a step tuple (reason, y, pos, rule, count).  Lookahead is Ambiguous
+    past succ_cap matches (0 = no cap), and keeps the candidates whose
+    own search (_st_alive, max_branch·(depth+1) nodes) reaches a useful
+    stuck string, searching them in order until two survive."""
     matches = naive_find_matches(lhs, w)
-    if mode == 0 and len(matches) > 1:
+    if mode == 0:
+        if len(matches) > 1:
+            return ("Ambiguous", w, -1, -1, len(matches))
+    elif succ_cap and len(matches) > succ_cap:
         return ("Ambiguous", w, -1, -1, len(matches))
     succ = _st_successors(lhs, rhs, w)
     if not succ:

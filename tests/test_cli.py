@@ -115,6 +115,30 @@ def test_eval_strict_identity_note(tmp_path, capsys):
     assert "Ambiguous" in err and "step 0" in err
 
 
+def test_eval_successor_cap_bounds_rewrite_matches(tmp_path, capsys):
+    # paper-pcp's successor cap 2 holds on the rewrite relation too: the
+    # first string of compiled not has more matches, so the closure stops
+    # there, while the same lookahead depth without a cap moves
+    from owflab.machine import library_machine
+    from owflab.semithue import instance_to_text
+    from owflab.stcompile import MARKER, compile_semithue, st_encode_input
+    comp = compile_semithue(library_machine("not"), 4)
+    w = st_encode_input(comp, "1000")
+    inst = tmp_path / "i.sts"
+    inst.write_text(instance_to_text(comp.system, w))
+    code, out, err = run_cli(capsys, "eval", "--backend", "semithue",
+                             "--instance", str(inst),
+                             "--semantics", "paper-pcp")
+    assert code == 0
+    assert f"input: {w}\n" in out
+    assert err == "note: Ambiguous at step 0; identity\n"
+    code, out, _ = run_cli(capsys, "eval", "--backend", "semithue",
+                           "--instance", str(inst),
+                           "--semantics", "lookahead:1")
+    d = comp.table.code(MARKER)
+    assert code == 0 and f"input: {d}0111{d}\n" in out
+
+
 def test_eval_pcp(tmp_path, capsys):
     from owflab.machine import library_machine
     from owflab.pcp import (PAPER_POLICY, compile_pcp, pairs_to_text,

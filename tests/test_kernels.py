@@ -49,11 +49,17 @@ def random_pairs(rng):
     return us, vs
 
 
-def first_st_step(lhs, rhs, w, mode, depth, max_branch):
+def first_st_step(lhs, rhs, w, cap, depth, max_branch):
     """kernels.st_step as the first step of a closure from w: a fresh rule
     index and table of match lists, and w's length as reference."""
-    return kernels.st_step(kernels.RuleIndex(lhs), rhs, w, mode, depth,
+    return kernels.st_step(kernels.RuleIndex(lhs), rhs, w, cap, depth,
                            max_branch, len(w), {})
+
+
+def kernel_cap(mode, cap):
+    """The kernels' successor cap for a reference step's mode (0 strict,
+    1 lookahead) and cap: strict is the cap 1."""
+    return 1 if mode == 0 else cap
 
 
 # --- the engine against the references -----------------------------------
@@ -180,8 +186,8 @@ def test_strict_st_step_matches_reference():
     for _ in range(400):
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
-        assert first_st_step(lhs, rhs, w, 0, 3, 16) == \
-            oracles.st_step(lhs, rhs, w, 0, 3, 16, len(w)), (lhs, rhs, w)
+        assert first_st_step(lhs, rhs, w, 1, 3, 16) == \
+            oracles.st_step(lhs, rhs, w, 0, 3, 16, len(w), 0), (lhs, rhs, w)
 
 
 def test_pcp_applications_solve_the_yield_equation():
@@ -192,7 +198,7 @@ def test_pcp_applications_solve_the_yield_equation():
         index = kernels.pair_index(us)
         assert kernels.pcp_applications(index, vs, x) == \
             naive_applications(us, vs, x)
-        assert kernels.pcp_step(index, vs, x, 0, 1, 16, 2) == \
+        assert kernels.pcp_step(index, vs, x, 1, 16, 1) == \
             oracles.pcp_step(us, vs, x, 0, 1, 16, 2), (us, vs, x)
 
 
@@ -202,13 +208,13 @@ def test_lookahead_step_is_a_reference_step():
     for _ in range(300):
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
-        kind, y, p, i, _ = first_st_step(lhs, rhs, w, 1, 3, 16)
+        kind, y, p, i, _ = first_st_step(lhs, rhs, w, 0, 3, 16)
         if kind is None:
             assert (p, i) in naive_find_matches(lhs, w)
             assert y == w[:p] + rhs[i] + w[p + len(lhs[i]):]
         us, vs = random_pairs(rng)
         kind, y, _, i, _ = kernels.pcp_step(kernels.pair_index(us), vs, w,
-                                            1, 1, 16, 2)
+                                            1, 16, 2)
         if kind is None:
             assert (i, y) in naive_applications(us, vs, w)
 
@@ -242,40 +248,34 @@ def test_one_pcp_closure_indexes_its_pairs_once(monkeypatch):
 
 # --- pinned outputs -------------------------------------------------------
 
-def policy(mode, depth, successor_cap=0):
-    """The DeterminismPolicy of a step kernel's mode (0 strict, 1
-    lookahead), depth and successor cap."""
-    return DeterminismPolicy(("strict", "lookahead")[mode], depth,
-                             successor_cap)
-
-
 def _engine_outputs():
-    """Steps and closures, both modes, on the seeded systems above."""
+    """Steps and closures, strict (cap 1) then lookahead, on the seeded
+    systems above."""
     out = []
     rng = random.Random(1)
     for _ in range(400):
         lhs, rhs = random_system(rng)
         w = bits(rng, 0, 10)
-        for mode in (0, 1):
-            out.append(first_st_step(lhs, rhs, w, mode, 3, 16))
+        for cap in (1, 0):
+            out.append(first_st_step(lhs, rhs, w, cap, 3, 16))
     rng = random.Random(2)
     for _ in range(200):
         lhs, rhs = random_system(rng, m=3, max_len=3)
         w = bits(rng, 0, 8)
-        for mode in (0, 1):
+        for cap in (1, 0):
             out.append(kernels.st_closure(kernels.RuleIndex(lhs), rhs, w, 50,
-                                          policy(mode, 3), True))
+                                          DeterminismPolicy(3, cap), True))
     rng = random.Random(3)
     for _ in range(300):
         us, vs = random_pairs(rng)
         x = bits(rng, 0, 8)
         index = kernels.pair_index(us)
-        for mode in (0, 1):
-            out.append(kernels.pcp_step(index, vs, x, mode, 1, 16, 2))
-            out.append(kernels.pcp_closure(us, vs, x, 40, policy(mode, 1, 2),
-                                           True))
+        for cap in (1, 2):
+            out.append(kernels.pcp_step(index, vs, x, 1, 16, cap))
+            out.append(kernels.pcp_closure(us, vs, x, 40,
+                                           DeterminismPolicy(1, cap), True))
         # deeper lookahead without a successor cap: longer depth searches
-        out.append(kernels.pcp_step(index, vs, x, 1, 5, 16, 0))
+        out.append(kernels.pcp_step(index, vs, x, 5, 16, 0))
     return out
 
 
@@ -354,11 +354,11 @@ def test_derived_match_lists_equal_a_full_scan(system):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rewrite_systems(), st.sampled_from([0, 1]), st.booleans())
-@example(DERIVE_EXAMPLES[0], 1, True)
-@example(DERIVE_EXAMPLES[1], 1, True)
-@example(DERIVE_EXAMPLES[2], 0, False)
-def test_closure_table_lists_equal_a_full_scan(system, mode, keep_all):
+@given(rewrite_systems(), st.sampled_from([1, 0]), st.booleans())
+@example(DERIVE_EXAMPLES[0], 0, True)
+@example(DERIVE_EXAMPLES[1], 0, True)
+@example(DERIVE_EXAMPLES[2], 1, False)
+def test_closure_table_lists_equal_a_full_scan(system, cap, keep_all):
     """Along a closure, the list of each string a step or the lookahead
     expands, whether read from the closure's table, derived or scanned,
     equals a full scan.  keep_all lifts the density limit, so that every
@@ -376,7 +376,7 @@ def test_closure_table_lists_equal_a_full_scan(system, mode, keep_all):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_st_successors", checked)
         mp.setattr(kernels, "MAX_BRANCH", 8)
-        kernels.st_closure(lhs, rhs, w, 20, policy(mode, 2), False)
+        kernels.st_closure(lhs, rhs, w, 20, DeterminismPolicy(2, cap), False)
 
 
 def _lists_made(mp):
@@ -401,15 +401,15 @@ def _lists_made(mp):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rewrite_systems(), st.sampled_from([0, 1]))
-@example(DERIVE_EXAMPLES[1], 1)
-def _kept_lists_are_made_once(system, mode):
+@given(rewrite_systems(), st.sampled_from([1, 0]))
+@example(DERIVE_EXAMPLES[1], 0)
+def _kept_lists_are_made_once(system, cap):
     sides, rhs, w = system
     lhs = kernels.RuleIndex(sides)
     with pytest.MonkeyPatch.context() as mp:
         made = _lists_made(mp)
         mp.setattr(kernels, "MAX_BRANCH", 8)
-        kernels.st_closure(lhs, rhs, w, 20, policy(mode, 2), False)
+        kernels.st_closure(lhs, rhs, w, 20, DeterminismPolicy(2, cap), False)
     counts = Counter(s for s, _ in made)
     assert all(n > lhs.keep_max for s, n in made if counts[s] > 1)
 
@@ -457,28 +457,33 @@ def test_dense_match_lists_stay_out_of_the_closure_table():
 # --- steps and closures against the references ------------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(rewrite_systems(), st.sampled_from([0, 1]), st.integers(1, 3),
-       st.sampled_from([4, 16]))
+@given(rewrite_systems(), st.sampled_from([(0, 0), (1, 0), (1, 2)]),
+       st.integers(1, 3), st.sampled_from([4, 16]))
 # a first step that a memo shared across the closure's searches left
 # ambiguous, because an earlier candidate's search had filled it
 @example((["0001", "011", "00", "1"], ["110", "1", "00", ""], "0100111001"),
-         1, 3, 16)
+         (1, 0), 3, 16)
 # a closure whose third step such a memo made unique
-@example((["010", "111", "011"], ["101", "000", "11"], "10010101"), 1, 3, 16)
-def test_rewrite_steps_and_closures_equal_the_reference(system, mode, depth,
-                                                        branch):
+@example((["010", "111", "011"], ["101", "000", "11"], "10010101"), (1, 0),
+         3, 16)
+def test_rewrite_steps_and_closures_equal_the_reference(system, mode_cap,
+                                                        depth, branch):
     """st_step, as a closure's first step, is the reference step, and
     st_closure is the closure loop driven by the reference step."""
     sides, rhs, w = system
+    mode, cap = mode_cap
 
     def reference(s):
-        return oracles.st_step(sides, rhs, s, mode, depth, branch, len(w))
+        return oracles.st_step(sides, rhs, s, mode, depth, branch, len(w),
+                               cap)
 
-    assert first_st_step(sides, rhs, w, mode, depth, branch) == reference(w)
+    step_cap = kernel_cap(mode, cap)
+    assert first_st_step(sides, rhs, w, step_cap, depth, branch) == \
+        reference(w)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "MAX_BRANCH", branch)
         got = kernels.st_closure(kernels.RuleIndex(sides), rhs, w, 20,
-                                 policy(mode, depth), True)
+                                 DeterminismPolicy(depth, step_cap), True)
     assert got == kernels._close(reference, w, 20, True)
 
 
@@ -499,10 +504,11 @@ def test_yield_steps_and_closures_equal_the_reference(pairs, x, config):
     def reference(s):
         return oracles.pcp_step(us, vs, s, mode, depth, branch, cap)
 
-    assert kernels.pcp_step(kernels.pair_index(us), vs, x, mode, depth,
-                            branch, cap) == reference(x)
+    step_cap = kernel_cap(mode, cap)
+    assert kernels.pcp_step(kernels.pair_index(us), vs, x, depth, branch,
+                            step_cap) == reference(x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "MAX_BRANCH", branch)
-        got = kernels.pcp_closure(us, vs, x, 40, policy(mode, depth, cap),
-                                  True)
+        got = kernels.pcp_closure(us, vs, x, 40,
+                                  DeterminismPolicy(depth, step_cap), True)
     assert got == kernels._close(reference, x, 40, True)

@@ -60,7 +60,7 @@ def test_ptf_total_at_deep_lookahead():
     # full 3001 levels; a recursive search overflowed the Python stack
     g = PairList((("0", "0"), ("0", "1"), ("1", "1")))
     w = serialize_pcp_instance(g, "0101")
-    assert ptf(w, DeterminismPolicy("lookahead", depth=3000)) == w
+    assert ptf(w, DeterminismPolicy(depth=3000)) == w
 
 
 def test_ptf_budget():

@@ -28,9 +28,9 @@ def step(sys, w, policy):
     """One kernels.st_step under policy, as a closure's first step from w
     (w's length as reference, a fresh table of match lists): (reason,
     result), reason None when the step is unique."""
-    reason, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w, policy.mode_id,
-                                         policy.depth, kernels.MAX_BRANCH,
-                                         len(w), {})
+    reason, y, _, _, _ = kernels.st_step(sys.index, sys.rhs, w,
+                                         policy.successor_cap, policy.depth,
+                                         kernels.MAX_BRANCH, len(w), {})
     return reason, y
 
 
@@ -48,7 +48,7 @@ def test_lookahead_prunes_dead_branch():
     # "01" -> "10" is stuck at the reference length; "01" -> "0" can only
     # reach shorter stuck strings, so lookahead discards it.
     sys = RewriteSystem((("01", "10"), ("01", "0")))
-    assert (step(sys, "01", DeterminismPolicy("lookahead", depth=3))
+    assert (step(sys, "01", DeterminismPolicy(depth=3))
             == (None, "10"))
     # strict mode cannot choose
     assert step(sys, "01", STRICT)[0] == "Ambiguous"
@@ -57,7 +57,7 @@ def test_lookahead_prunes_dead_branch():
 def test_lookahead_survivor_requires_reference_length():
     # both branches survive (both reach stuck strings of the start length)
     sys = RewriteSystem((("1", "0"), ("10", "01")))
-    assert (step(sys, "10", DeterminismPolicy("lookahead", depth=2))[0]
+    assert (step(sys, "10", DeterminismPolicy(depth=2))[0]
             == "Ambiguous")
 
 
@@ -96,7 +96,7 @@ def test_branch_overflow(monkeypatch):
     # at most one candidate per step: "1" -> "0" and "1" -> "00" overflow
     monkeypatch.setattr(kernels, "MAX_BRANCH", 1)
     sys = RewriteSystem((("1", "0"), ("1", "00")))
-    out = det_closure(sys, "111", 100, DeterminismPolicy("lookahead", depth=2),
+    out = det_closure(sys, "111", 100, DeterminismPolicy(depth=2),
                       want_trace=False)
     assert not out.terminal and out.reason == "BranchOverflow"
 
@@ -199,9 +199,9 @@ def test_text_format_round_trip():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        DeterminismPolicy(mode="magic")
+        DeterminismPolicy(successor_cap=-1)
     with pytest.raises(ValueError):
-        DeterminismPolicy(mode="lookahead", depth=0)
+        DeterminismPolicy(depth=0)
 
 
 def test_rule_sides_are_built_once():
