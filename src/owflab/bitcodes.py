@@ -15,26 +15,20 @@ def gamma_encode(n: int) -> str:
 
 
 def gamma_decode(bits: str, pos: int) -> tuple[int, int] | None:
-    """Decode one gamma code starting at `pos`.
+    """Decode one gamma code starting at `pos` of a string over {0,1}.
 
-    Returns (value, next_pos), or None if `bits` does not hold a complete
-    code over {0,1} at that offset (int(·, 2) alone would also accept
-    "_", a sign or surrounding spaces).
+    Returns (value, next_pos), or None if no complete code starts at that
+    offset.  The string must already be checked with is_bits, as each
+    parser checks its whole input once: int(·, 2) would also accept "_",
+    a sign or surrounding spaces.
     """
-    i = pos
-    n = len(bits)
-    while i < n and bits[i] == "0":
-        i += 1
-    if i >= n:
+    i = bits.find("1", pos)  # width = i - pos leading zeros
+    if i < 0:
         return None
-    width = i - pos  # number of leading zeros
-    end = i + width + 1
-    if end > n:
+    end = 2 * i - pos + 1
+    if end > len(bits):
         return None
-    code = bits[i:end]
-    if code.strip("01"):
-        return None
-    return int(code, 2), end
+    return int(bits[i:end], 2), end
 
 
 def is_bits(s: str) -> bool:

@@ -106,8 +106,10 @@ def _cmd_eval(args) -> int:
     try:
         system, payload = fn.from_text(text)
     except ValueError as e:  # InstanceParseError, TilingError
-        print(f"note: unparseable instance ({e}); identity")
         print(text, end="")
+        print(f"note: unparseable instance ({e}); identity", file=sys.stderr)
+        if args.trace:
+            Path(args.trace).write_text("")  # no step was taken
         return 0
     out = fn.closure(system, payload, fn.budget(len(payload)), policy,
                      want_trace=bool(args.trace))

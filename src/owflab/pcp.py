@@ -33,15 +33,6 @@ from .stcompile import CompileError, NOT_FINAL, check_states
 PAPER_POLICY = DeterminismPolicy(depth=1, successor_cap=2)
 
 
-@dataclass(frozen=True)
-class PairList(RewriteSystem):
-    """A rewrite-system instance read as pairs (uᵢ, vᵢ): the same rules,
-    bit format and text layout; only its error messages speak of pairs."""
-
-    _EMPTY_LHS = "empty pair left string"
-    _NOT_BITS = "pair strings must be over {0,1}"
-
-
 def pcp_det_closure(g: RewriteSystem, x: str, budget: int,
                     policy: DeterminismPolicy = PAPER_POLICY,
                     want_trace: bool = True) -> kernels.ClosureOutcome:
@@ -68,7 +59,7 @@ serialize_pcp_instance = serialize_instance  # the name owfbench calls
 @dataclass(frozen=True)
 class PcpCompilation:
     machine: Machine
-    pairs: PairList
+    pairs: RewriteSystem
     table: CodeTable
     rotate_count: int
     transition_count: int
@@ -94,7 +85,7 @@ def compile_pcp(m: Machine, n: int, salt_seed: int = 0) -> PcpCompilation:
                     pairs.append((c(ctx, q, a), c(p, ctx, b, BLANK)))
                 else:
                     pairs.append((c(ctx, q, a), c(p, ctx, b)))
-    return PcpCompilation(m, PairList(tuple(pairs)), table, rot,
+    return PcpCompilation(m, RewriteSystem(tuple(pairs)), table, rot,
                           len(pairs) - rot)
 
 
@@ -140,4 +131,4 @@ def pairs_to_text(g: RewriteSystem, payload: str) -> str:
 
 
 def pairs_from_text(text: str):
-    return from_text("PCP v1", "pair", PairList, text)
+    return from_text("PCP v1", "pair", text)

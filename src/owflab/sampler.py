@@ -16,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .pcp import PairList
 from .semithue import RewriteSystem
 
 
@@ -39,7 +38,7 @@ class StsSample:
 
 @dataclass(frozen=True)
 class PcpSample:
-    pairs: PairList
+    pairs: RewriteSystem
     payload: str
 
 
@@ -70,7 +69,7 @@ def sample_string(d: DefaultUniform, rng: random.Random) -> str:
     return format(rng.getrandbits(ell), f"0{ell}b")
 
 
-def _draw(d: DefaultUniform, rng: random.Random, cls):
+def _draw(d: DefaultUniform, rng: random.Random):
     """Random rules and payload, in the field order of StsSample and
     PcpSample.  The decision problem's bound n and target string are
     drawn too, though nothing reads them, so that a seed gives the
@@ -82,13 +81,13 @@ def _draw(d: DefaultUniform, rng: random.Random, cls):
     )
     payload = sample_string(d, rng)
     sample_string(d, rng)  # the target
-    return cls(rules), payload
+    return RewriteSystem(rules), payload
 
 
 def sample_sts_instance(d: DefaultUniform, rng: random.Random) -> StsSample:
-    return StsSample(*_draw(d, rng, RewriteSystem))
+    return StsSample(*_draw(d, rng))
 
 
 def sample_pcp_instance(d: DefaultUniform, rng: random.Random) -> PcpSample:
-    return PcpSample(*_draw(d, rng, PairList))
+    return PcpSample(*_draw(d, rng))
 

@@ -32,18 +32,15 @@ class InstanceParseError(ValueError):
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    rules: tuple  # of (lhs, rhs) bit-string pairs
-
-    _EMPTY_LHS = "empty rule left-hand side"
-    _NOT_BITS = "rule strings must be over {0,1}"
+    rules: tuple  # of (lhs, rhs) bit-string pairs, or PCP pairs (u, v)
 
     def __post_init__(self):
         lhs = [g for g, _ in self.rules]
         rhs = [h for _, h in self.rules]
+        # the parsers check the bits; both formats can express an empty
+        # side (the gamma code "1", "-" in text), so it is checked here
         if "" in lhs:
-            raise InstanceParseError(self._EMPTY_LHS)
-        if not is_bits("".join(lhs + rhs)):
-            raise InstanceParseError(self._NOT_BITS)
+            raise InstanceParseError("empty left side")
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
 
@@ -94,31 +91,30 @@ def serialize_instance(sys: RewriteSystem, payload: str) -> str:
 def parse_instance(bits: str):
     """Inverse of serialize_instance: (RewriteSystem, payload), or raises.
 
-    Each character is checked once: gamma_decode rejects a non-bit code,
-    RewriteSystem the rule strings, and the payload is checked here.
+    One is_bits over the whole string checks every character, so the
+    gamma codes, the rule strings and the payload are read unchecked.
     """
+    if not is_bits(bits):
+        raise InstanceParseError("instance must be a bit string")
     got = gamma_decode(bits, 0)
     if got is None:
-        raise InstanceParseError("truncated or non-bit rule count")
+        raise InstanceParseError("truncated rule count")
     m, pos = got
     rules = []
     for k in range(2 * m - 2):
         got = gamma_decode(bits, pos)
         if got is None:
             raise InstanceParseError(
-                f"truncated or non-bit length of rule string {k}")
+                f"truncated length of rule string {k}")
         ln, start = got
         pos = start + ln - 1
         if pos > len(bits):
             raise InstanceParseError(f"truncated rule string {k}")
         rules.append(bits[start:pos])
-    payload = bits[pos:]
-    if not is_bits(payload):
-        raise InstanceParseError("payload must be a bit string")
     sys = RewriteSystem(tuple(zip(rules[0::2], rules[1::2])))
     # gamma codes are canonical, so serializing sys gives back this prefix
     object.__setattr__(sys, "head", bits[:pos])
-    return sys, payload
+    return sys, bits[pos:]
 
 
 def one_way(w: str, parse, closure, budget, serialize, policy):
@@ -165,8 +161,8 @@ def to_text(header: str, noun: str, sys: RewriteSystem,
     return "\n".join(lines) + "\n"
 
 
-def from_text(header: str, noun: str, cls, text: str):
-    """Inverse of to_text; returns (cls(rules), payload) or raises."""
+def from_text(header: str, noun: str, text: str):
+    """Inverse of to_text; returns (RewriteSystem, payload) or raises."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or lines[0] != header:
@@ -189,9 +185,10 @@ def from_text(header: str, noun: str, cls, text: str):
     if not last.startswith("input:"):
         raise InstanceParseError("expected 'input:' line")
     payload = last.split(":", 1)[1].strip()
-    if not is_bits(payload):
-        raise InstanceParseError("payload must be a bit string")
-    return cls(tuple(rules)), payload
+    if not is_bits("".join([payload, *(s for r in rules for s in r)])):
+        raise InstanceParseError(f"{noun} strings and payload must be "
+                                 "over {0,1}")
+    return RewriteSystem(tuple(rules)), payload
 
 
 def instance_to_text(sys: RewriteSystem, payload: str) -> str:
@@ -199,7 +196,7 @@ def instance_to_text(sys: RewriteSystem, payload: str) -> str:
 
 
 def instance_from_text(text: str):
-    return from_text("STS v1", "rule", RewriteSystem, text)
+    return from_text("STS v1", "rule", text)
 
 
 def trace_to_jsonl(trace) -> str:

@@ -50,19 +50,15 @@ class Tile(NamedTuple):
 
 @dataclass(frozen=True)
 class TileSet:
+    """Tiles over a table that holds every edge, as the parsers check and
+    compile_tileset builds it."""
+
     symbols: tuple  # or range(S), the table of a parsed instance
     tiles: tuple
 
     def __post_init__(self):
         if len(set(self.tiles)) != len(self.tiles):
             raise TilingError("tiles must be distinct")
-        # a range answers `in` for an int in O(1), so it is not copied
-        syms = (self.symbols if isinstance(self.symbols, range)
-                else set(self.symbols))
-        for t in self.tiles:
-            for edge in (t.north, t.south, t.east, t.west):
-                if edge not in syms:
-                    raise TilingError(f"edge symbol {edge!r} not in table")
         by_south_west = {}
         for t in self.tiles:
             by_south_west.setdefault((t.south, t.west), []).append(t)
@@ -416,7 +412,8 @@ def tileset_from_text(text: str):
 
     k = count(1, "symbols")
     symbols = tuple(_sym_parse(t) for t in lines[2 : 2 + k])
-    if len(set(symbols)) != len(symbols):
+    table = set(symbols)
+    if len(table) != len(symbols):
         raise TilingError("repeated symbol name")
     at = 2 + k
     m = count(at, "tiles")
@@ -425,11 +422,13 @@ def tileset_from_text(text: str):
         parts = [_sym_parse(t) for t in ln.split()]
         if len(parts) != 4:
             raise TilingError(f"bad tile line: {ln!r}")
+        if not table.issuperset(parts):
+            raise TilingError("tile edge not in table")
         n, e, s, w = parts
         tiles.append(Tile(n, s, e, w))
     row = [_sym_parse(t) for t in field(at + 1 + m, "row").split()]
     if len(lines) > at + 2 + m:
         raise TilingError("unexpected lines after 'row:' line")
-    if not set(symbols).issuperset(row):
+    if not table.issuperset(row):
         raise TilingError("row symbol not in table")
     return TileSet(symbols, tuple(tiles)), row

@@ -197,9 +197,24 @@ def test_eval_prints_the_functions_output(tmp_path, capsys, backend, text):
 def test_eval_unparseable_is_identity(tmp_path, capsys):
     inst = tmp_path / "junk.sts"
     inst.write_text("not a system\n")
-    code, out, _ = run_cli(capsys, "eval", "--backend", "semithue",
-                           "--instance", str(inst))
-    assert code == 0 and "identity" in out and "not a system" in out
+    code, out, err = run_cli(capsys, "eval", "--backend", "semithue",
+                             "--instance", str(inst))
+    assert code == 0 and out == "not a system\n"
+    assert err.startswith("note: unparseable instance") and "identity" in err
+
+
+def test_eval_unparseable_writes_an_empty_trace(tmp_path, capsys):
+    # a non-bit rule: no step is taken, and the trace says so
+    inst = tmp_path / "bad.sts"
+    text = "STS v1\nrules: 1\n12 01\ninput: 1\n"
+    inst.write_text(text)
+    trace = tmp_path / "t.jsonl"
+    code, out, err = run_cli(capsys, "eval", "--backend", "semithue",
+                             "--instance", str(inst), "--trace", str(trace))
+    assert code == 0 and out == text
+    assert err == ("note: unparseable instance (rule strings and payload "
+                   "must be over {0,1}); identity\n")
+    assert trace.read_text() == ""
 
 
 def test_eval_tiling_wide_compiled_row(tmp_path, capsys):
@@ -229,9 +244,9 @@ def test_eval_truncated_tiling_is_identity(tmp_path, capsys):
     inst.write_text(text)
     code, out, err = run_cli(capsys, "eval", "--backend", "tiling",
                              "--instance", str(inst))
-    assert code == 0 and not err
-    assert out == ("note: unparseable instance (expected 'row:' line); "
-                   "identity\n" + text)
+    assert code == 0 and out == text
+    assert err == ("note: unparseable instance (expected 'row:' line); "
+                   "identity\n")
 
 
 def test_eval_tiling_identity_note(tmp_path, capsys):

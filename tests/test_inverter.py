@@ -20,7 +20,7 @@ from owflab.inverter import (
     staf_payload,
 )
 from owflab.machine import library_machine
-from owflab.pcp import PairList, ptf
+from owflab.pcp import ptf
 from owflab.semithue import (
     RewriteSystem,
     parse_instance,
@@ -153,8 +153,8 @@ def test_brute_invert_equals_the_instance_loop(kind, data):
         # ids past the table and wrong lengths are not payloads
         cand = st.lists(st.integers(0, n_syms), max_size=4)
     else:
-        cls, f = (RewriteSystem, staf) if kind == "staf" else (PairList, ptf)
-        sys = cls(tuple(data.draw(_rules)))
+        f = staf if kind == "staf" else ptf
+        sys = RewriteSystem(tuple(data.draw(_rules)))
         x0 = data.draw(st.text("01", max_size=5))
         parse, serialize = parse_instance, serialize_instance
         symbols = "01"
@@ -178,7 +178,7 @@ def test_one_inversion_parses_the_target_once(monkeypatch):
     # the instance before evaluation is not an image: no candidate maps to it
     unevaluated = serialize_instance(comp.system, cands[15])
     image = staf(unevaluated)
-    pcp_target = serialize_instance(PairList((("1", "0"),)), "0")
+    pcp_target = serialize_instance(RewriteSystem((("1", "0"),)), "0")
 
     parses = []
     original = semithue.parse_instance

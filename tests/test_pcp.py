@@ -5,7 +5,6 @@ from owflab.inverter import lemma
 from owflab.machine import LIBRARY_NAMES, RIGHT, TAPE_SYMBOLS, library_machine
 from owflab.pcp import (
     PAPER_POLICY,
-    PairList,
     compile_pcp,
     pairs_from_text,
     pairs_to_text,
@@ -17,11 +16,11 @@ from owflab.pcp import (
     serialize_pcp_instance,
 )
 from owflab.semithue import (DeterminismPolicy, InstanceParseError,
-                             parse_instance)
+                             RewriteSystem, parse_instance)
 
 
 def test_yield_relation_examples():
-    g = PairList((("1", "1"), ("10", "01")))
+    g = RewriteSystem((("1", "1"), ("10", "01")))
     us = kernels.pair_index(g.lhs)
     # pair 0: 1·y = x·1 -> rotation of a leading 1
     succ = kernels.pcp_applications(us, g.rhs, "10")
@@ -30,13 +29,13 @@ def test_yield_relation_examples():
 
 
 def test_yield_shrinking_pair():
-    g = PairList((("11", ""),))
+    g = RewriteSystem((("11", ""),))
     assert kernels.pcp_applications(kernels.pair_index(g.lhs), g.rhs,
                                     "11") == [(0, "")]
 
 
 def test_closure_rotation_cycle_detected():
-    g = PairList((("1", "1"), ("0", "0")))
+    g = RewriteSystem((("1", "1"), ("0", "0")))
     out = pcp_det_closure(g, "10", 1000, PAPER_POLICY)
     assert not out.terminal
     assert out.reason in ("BudgetExceeded", "Ambiguous")
@@ -58,7 +57,7 @@ def test_ptf_total_idempotent_small():
 def test_ptf_total_at_deep_lookahead():
     # every string here has a successor, so each depth search runs the
     # full 3001 levels; a recursive search overflowed the Python stack
-    g = PairList((("0", "0"), ("0", "1"), ("1", "1")))
+    g = RewriteSystem((("0", "0"), ("0", "1"), ("1", "1")))
     w = serialize_pcp_instance(g, "0101")
     assert ptf(w, DeterminismPolicy(depth=3000)) == w
 
@@ -68,7 +67,7 @@ def test_ptf_budget():
 
 
 def test_serialize_parse_round_trip():
-    g = PairList((("1", ""), ("10", "01")))
+    g = RewriteSystem((("1", ""), ("10", "01")))
     w = serialize_pcp_instance(g, "110")
     g2, payload = parse_instance(w)
     assert g2.rules == g.rules and payload == "110"
@@ -141,17 +140,10 @@ def test_decode_output_rejects_non_halt():
 
 
 def test_text_format_round_trip():
-    g = PairList((("1", ""), ("10", "01")))
+    g = RewriteSystem((("1", ""), ("10", "01")))
     text = pairs_to_text(g, "110")
     g2, payload = pairs_from_text(text)
     assert g2 == g and payload == "110"
     with pytest.raises(InstanceParseError):
         pairs_from_text("PCP v2\n")
 
-
-def test_pairlist_validation():
-    for pairs in [(("", "1"),), (("2", "1"),), (("1", "2"),),
-                  (("1 ", "0"),), (("1", "0\n"),),
-                  (("1", "0"), ("01", "x"))]:
-        with pytest.raises(InstanceParseError):
-            PairList(pairs)

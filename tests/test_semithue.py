@@ -1,4 +1,5 @@
 from sys import modules as sys_modules
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,14 @@ from owflab.semithue import (
     staf,
     staf_budget,
     trace_to_jsonl,
+)
+from owflab.tiling import (
+    Tile,
+    TileSet,
+    TilingError,
+    parse_tiling_instance,
+    serialize_tiling_instance,
+    tiling_f,
 )
 
 
@@ -133,20 +142,16 @@ def test_parse_then_serialize_gives_back_the_input(w):
 
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.text("01", min_size=1, max_size=6),
-                          st.text("01", max_size=6)), max_size=5),
-       st.booleans())
-def test_head_is_the_per_rule_gamma_encoding(rules, as_pairs):
-    from owflab.pcp import PairList
-    sys = (PairList if as_pairs else RewriteSystem)(tuple(rules))
+                          st.text("01", max_size=6)), max_size=5))
+def test_head_is_the_per_rule_gamma_encoding(rules):
+    sys = RewriteSystem(tuple(rules))
     assert sys.head == serialized_rules(sys)
     assert serialize_instance(sys, "01") == serialized_rules(sys) + "01"
 
 
 def test_head_of_no_rules_and_of_empty_right_sides():
-    from owflab.pcp import PairList
-    for sys in (RewriteSystem(()), PairList(()),
-                RewriteSystem((("1", ""), ("01", ""))),
-                PairList((("1", ""),))):
+    for sys in (RewriteSystem(()), RewriteSystem((("1", ""), ("01", ""))),
+                RewriteSystem((("1", ""),))):
         assert sys.head == serialized_rules(sys)
         assert parse_instance(sys.head) == (RewriteSystem(sys.rules), "")
     assert RewriteSystem(()).head == "1"  # gamma(0 + 1)
@@ -212,7 +217,7 @@ def test_rule_sides_are_built_once():
 
 def test_one_call_reads_each_instance_bit_once(monkeypatch):
     from owflab import bitcodes
-    from owflab.pcp import PairList, ptf
+    from owflab.pcp import ptf
     original = bitcodes.is_bits
     read = []
 
@@ -224,34 +229,69 @@ def test_one_call_reads_each_instance_bit_once(monkeypatch):
         if (name.startswith("owflab")
                 and getattr(module, "is_bits", None) is original):
             monkeypatch.setattr(module, "is_bits", counting)
-    long_pair = PairList((("1" * 40, "0" * 40),))
+    long_pair = RewriteSystem((("1" * 40, "0" * 40),))
+    # every south 0 tile turns into a 1: the square's second row is 1 1
+    ones = TileSet((0, 1), (Tile(1, 0, 0, 0), Tile(1, 1, 0, 0)))
     for f, w in [(staf, serialize_instance(RewriteSystem((("10", "01"),)),
                                            "1000")),
-                 (ptf, serialize_instance(PairList((("1", "0"),)), "1")),
+                 (ptf, serialize_instance(RewriteSystem((("1", "0"),)), "1")),
                  # a second check of the long pair strings overruns len(w)
-                 (parse_instance, serialize_instance(long_pair, "1"))]:
+                 (parse_instance, serialize_instance(long_pair, "1")),
+                 (tiling_f, serialize_tiling_instance(ones, [0, 0]))]:
         read.clear()
         assert f(w) != w
-        assert 0 < sum(read) <= len(w), f.__name__
+        assert sum(read) == len(w), f.__name__
+
+
+@st.composite
+def bit_instances(draw):
+    """A serialized instance of either bit format: (bits, its parser, the
+    parser's error, the functions that read the format)."""
+    from owflab.pcp import ptf
+    if draw(st.booleans()):
+        rules = draw(st.lists(st.tuples(st.text("01", min_size=1, max_size=6),
+                                        st.text("01", max_size=6)),
+                              max_size=5))
+        w = serialize_instance(RewriteSystem(tuple(rules)),
+                               draw(st.text("01", max_size=12)))
+        return w, parse_instance, InstanceParseError, (staf, ptf)
+    k = draw(st.integers(1, 4))
+    sym = st.integers(0, k - 1)
+    tiles = draw(st.lists(st.builds(Tile, sym, sym, sym, sym), unique=True,
+                          max_size=4))
+    w = serialize_tiling_instance(TileSet(tuple(range(k)), tuple(tiles)),
+                                  draw(st.lists(sym, max_size=6)))
+    return w, parse_tiling_instance, TilingError, (tiling_f,)
 
 
 @settings(max_examples=300)
-@given(st.lists(st.tuples(st.text("01", min_size=1, max_size=6),
-                          st.text("01", max_size=6)), max_size=5),
-       st.text("01", max_size=12), st.sampled_from("2_+- \n"), st.data())
-def test_non_bit_character_anywhere_is_rejected(rules, payload, ch, data):
-    from owflab.pcp import ptf
-    w = serialize_instance(RewriteSystem(tuple(rules)), payload)
+@given(bit_instances(), st.sampled_from("2_+- \n"), st.data())
+def test_non_bit_character_anywhere_is_rejected(instance, ch, data):
+    w, parse, error, functions = instance
     k = data.draw(st.integers(0, len(w)))
     bad = w[:k] + ch + w[k:]
-    with pytest.raises(InstanceParseError):
-        parse_instance(bad)
-    assert staf(bad) == bad and ptf(bad) == bad
+    with pytest.raises(error):
+        parse(bad)
+    assert all(f(bad) == bad for f in functions)
 
 
 def test_rule_validation():
+    # RewriteSystem checks what both formats can express: an empty left
+    # side ("-" in text, the gamma code "1" in bits).  The parsers check
+    # the bits, the text ones for every rule or pair line and the payload
+    from owflab.pcp import pairs_from_text
+    with pytest.raises(InstanceParseError, match="empty left side"):
+        RewriteSystem((("", "1"),))
+    for lines in ["- 1\ninput: 0", "2 1\ninput: 0", "1 2\ninput: 0",
+                  "1 -\n01 x\ninput: 0", "1 0\ninput: 0x"]:
+        m = lines.count("\n")
+        with pytest.raises(InstanceParseError):
+            instance_from_text(f"STS v1\nrules: {m}\n{lines}\n")
+        with pytest.raises(InstanceParseError):
+            pairs_from_text(f"PCP v1\npairs: {m}\n{lines}\n")
     for rules in [(("", "1"),), (("2", "1"),), (("1", "2"),),
                   (("1 ", "0"),), (("1", "0\n"),),
                   (("1", "0"), ("01", "x"))]:
         with pytest.raises(InstanceParseError):
-            RewriteSystem(rules)
+            parse_instance(serialized_rules(SimpleNamespace(rules=rules))
+                           + "0")
