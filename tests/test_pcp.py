@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
+from oracles import serialized_rules
 from owflab import kernels
 from owflab.inverter import lemma
 from owflab.machine import LIBRARY_NAMES, RIGHT, TAPE_SYMBOLS, library_machine
@@ -147,3 +150,22 @@ def test_text_format_round_trip():
     with pytest.raises(InstanceParseError):
         pairs_from_text("PCP v2\n")
 
+
+
+def test_pairlist_validation():
+    # a pair list is a RewriteSystem: it rejects an empty left side, and
+    # the PCP bit and text parsers reject the non-bit pairs; ptf is the
+    # identity on each of these instances
+    with pytest.raises(InstanceParseError, match="empty left side"):
+        RewriteSystem((("", "1"),))
+    for pairs in [(("", "1"),), (("2", "1"),), (("1", "2"),),
+                  (("1 ", "0"),), (("1", "0\n"),),
+                  (("1", "0"), ("01", "x"))]:
+        w = serialized_rules(SimpleNamespace(rules=pairs)) + "0"
+        with pytest.raises(InstanceParseError):
+            parse_instance(w)
+        assert ptf(w) == w
+    for lines in ["- 1", "2 1", "1 2", "1 0\n01 x"]:
+        m = lines.count("\n") + 1
+        with pytest.raises(InstanceParseError):
+            pairs_from_text(f"PCP v1\npairs: {m}\n{lines}\ninput: 0\n")
